@@ -1,4 +1,4 @@
-// Ablation — heterogeneous link latencies (net/engine.h LatencyModel).
+// Ablation — heterogeneous link latencies (net/link_model.h LinkModel).
 //
 // The paper's synchronous model delivers every message in one round. Real
 // overlay links vary; completion time of a tree pass stretches to the sum
@@ -41,13 +41,9 @@ int main(int argc, char** argv) {
       // The driver owns its engines; thread latency through the fault-free
       // path by running phases manually.
       const core::NetFilter nf(cfg);
-      net::LatencyModel lat;
-      lat.max_delay = max_delay;
-      lat.seed = cli.seed + 1;
-
       // Phase 1 + 2 via the building blocks over one configured engine.
       net::Engine engine(env.overlay, meter);
-      engine.set_latency_model(lat);
+      engine.set_link_model(net::LinkModel{1, max_delay, cli.seed + 1});
       engine.set_fault_model(cfg.fault);
 
       agg::Convergecast<std::vector<Value>> phase1(

@@ -18,7 +18,7 @@
 //   NF_SHARD_CONTEXT void on_message(Context& ctx, Envelope&& env) override;
 //   NF_ENGINE_THREAD NF_STEADY_NOALLOC void admit(Outgoing&& out, ...);
 //
-// Semantics (enforced by nf-lint, both engines):
+// Semantics (enforced by nf-lint):
 //
 //  * NF_ENGINE_THREAD — runs on the engine thread only, between shard
 //    barriers, in canonical order. Calling it from anything reachable from
@@ -37,26 +37,18 @@
 //    from it (nf-cap-noalloc); tests/steady_alloc_test.cpp is the dynamic
 //    twin of this static gate.
 //
-// The macros are plain tokens to the dependency-free token engine and
-// expand to [[clang::annotate(...)]] for the Clang engine (and plain
-// clang builds), so both engines see the same declarations. They expand
-// to nothing elsewhere and never change codegen.
+// The macros are plain tokens that nf-lint reads from the source; they
+// expand to nothing for every compiler and never change codegen.
 #pragma once
 
-#if defined(__clang__)
-#define NF_CAP_ANNOTATE(tag) [[clang::annotate(tag)]]
-#else
-#define NF_CAP_ANNOTATE(tag)
-#endif
-
 /// Engine-thread-only: canonical-order bookkeeping between shard barriers.
-#define NF_ENGINE_THREAD NF_CAP_ANNOTATE("nf::cap::engine_thread")
+#define NF_ENGINE_THREAD
 
 /// Shard-worker entry point: root of the nf-cap-thread reachability walk.
-#define NF_SHARD_CONTEXT NF_CAP_ANNOTATE("nf::cap::shard_context")
+#define NF_SHARD_CONTEXT
 
 /// Callable from any context (atomic, pure, or shard-local by design).
-#define NF_REENTRANT NF_CAP_ANNOTATE("nf::cap::reentrant")
+#define NF_REENTRANT
 
 /// Zero-alloc steady-state hot path: root of the nf-cap-noalloc walk.
-#define NF_STEADY_NOALLOC NF_CAP_ANNOTATE("nf::cap::steady_noalloc")
+#define NF_STEADY_NOALLOC

@@ -58,9 +58,15 @@ class ValueMap {
     return out;
   }
 
-  /// Adds `v` to the value of `id` (inserting if absent). O(log n) lookup,
-  /// O(n) insert; use `from_unsorted` or `merge_add` for bulk building.
+  /// Adds `v` to the value of `id` (inserting if absent). O(1) when `id`
+  /// is past every key, so ascending ids build the map in order; otherwise
+  /// O(log n) lookup and O(n) insert — use `from_unsorted` or `merge_add`
+  /// for bulk building from unordered input.
   void add(Id id, Value v) {
+    if (entries_.empty() || entries_.back().first < id) {
+      entries_.emplace_back(id, v);
+      return;
+    }
     auto it = lower_bound(id);
     if (it != entries_.end() && it->first == id) {
       it->second += v;

@@ -4,6 +4,25 @@
 #include <limits>
 
 namespace nf::net {
+namespace {
+
+/// Rejects an element count the remaining input cannot hold, before any
+/// reserve: each element takes at least `min_bytes` encoded bytes.
+void check_count(std::uint64_t count, std::span<const std::uint8_t> in,
+                 std::size_t offset, std::size_t min_bytes) {
+  ensure(count <= (in.size() - offset) / min_bytes,
+         "element count exceeds the bytes left");
+}
+
+/// prev + delta, rejecting a delta that wraps past 2^64 - 1 (it would
+/// decode to a smaller id than its predecessor).
+std::uint64_t add_delta(std::uint64_t prev, std::uint64_t delta) {
+  ensure(delta <= std::numeric_limits<std::uint64_t>::max() - prev,
+         "id delta wraps around");
+  return prev + delta;
+}
+
+}  // namespace
 
 void put_varint(Bytes& out, std::uint64_t value) {
   while (value >= 0x80) {
@@ -53,11 +72,12 @@ std::vector<std::uint64_t> decode_sorted_ids(
     std::span<const std::uint8_t> in) {
   std::size_t offset = 0;
   const std::uint64_t count = get_varint(in, offset);
+  check_count(count, in, offset, 1);
   std::vector<std::uint64_t> out;
   out.reserve(count);
   std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    prev += get_varint(in, offset);
+    prev = add_delta(prev, get_varint(in, offset));
     out.push_back(prev);
   }
   ensure(offset == in.size(), "trailing bytes after id list");
@@ -80,16 +100,19 @@ ValueMap<ItemId, std::uint64_t> decode_pairs(
     std::span<const std::uint8_t> in) {
   std::size_t offset = 0;
   const std::uint64_t count = get_varint(in, offset);
-  std::vector<std::pair<ItemId, std::uint64_t>> pairs;
-  pairs.reserve(count);
+  check_count(count, in, offset, 2);
+  ValueMap<ItemId, std::uint64_t> out;
+  out.reserve(count);
   std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
-    prev += get_varint(in, offset);
-    const std::uint64_t value = get_varint(in, offset);
-    pairs.emplace_back(ItemId(prev), value);
+    const std::uint64_t delta = get_varint(in, offset);
+    // Map keys are unique: after the first id every delta must be >= 1.
+    ensure(i == 0 || delta != 0, "duplicate id in pair list");
+    prev = add_delta(prev, delta);
+    out.add(ItemId(prev), get_varint(in, offset));
   }
   ensure(offset == in.size(), "trailing bytes after pair list");
-  return ValueMap<ItemId, std::uint64_t>::from_unsorted(std::move(pairs));
+  return out;
 }
 
 Bytes encode_aggregates(std::span<const std::uint64_t> values) {
@@ -103,6 +126,7 @@ std::vector<std::uint64_t> decode_aggregates(
     std::span<const std::uint8_t> in) {
   std::size_t offset = 0;
   const std::uint64_t count = get_varint(in, offset);
+  check_count(count, in, offset, 1);
   std::vector<std::uint64_t> out;
   out.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -186,6 +210,7 @@ std::vector<std::uint64_t> decode_aggregates_fixed32(
     std::span<const std::uint8_t> in) {
   std::size_t offset = 0;
   const std::uint64_t count = get_varint(in, offset);
+  check_count(count, in, offset, 4);
   ensure(in.size() - offset == count * 4, "fixed32 length mismatch");
   std::vector<std::uint64_t> out;
   out.reserve(count);

@@ -16,13 +16,6 @@ namespace nf::net {
 static_assert(kNumTrafficCategories <= obs::LinkStats::kMaxCategories,
               "obs::LinkStats::kMaxCategories too small for TrafficCategory");
 
-std::uint32_t LatencyModel::delay(PeerId a, PeerId b) const {
-  if (min_delay == max_delay) return min_delay;
-  const std::uint64_t h = link_hash(seed, a, b);
-  return min_delay +
-         static_cast<std::uint32_t>(h % (max_delay - min_delay + 1));
-}
-
 std::uint64_t Context::round() const { return engine_.round(); }
 
 const Overlay& Context::overlay() const { return engine_.overlay(); }
@@ -138,16 +131,6 @@ void Engine::set_threads(std::uint32_t threads) {
   pool_.reset();
   // The engine thread drives one shard itself, so K shards need K-1 workers.
   if (threads_ > 1) pool_ = std::make_unique<ShardPool>(threads_ - 1);
-}
-
-void Engine::set_latency_model(const LatencyModel& model) {
-  // The infinite-capacity special case of the link model: same delays,
-  // same seeded per-link draw, no scheduler.
-  LinkModel link;
-  link.min_delay = model.min_delay;
-  link.max_delay = model.max_delay;
-  link.seed = model.seed;
-  set_link_model(link);
 }
 
 void Engine::set_link_model(const LinkModel& model) {

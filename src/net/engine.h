@@ -75,24 +75,6 @@ struct LinkFaultModel {
   std::uint64_t seed = 0xACC1DE57ull;
 };
 
-/// Heterogeneous link latencies: each (unordered) overlay link gets a
-/// fixed delay drawn uniformly from [min_delay, max_delay] rounds,
-/// deterministic in (seed, endpoints). The default (1, 1) reproduces the
-/// synchronous model. Protocols need no changes — convergecast and friends
-/// are event-driven — but completion times stretch to the slowest path.
-///
-/// Subsumed by `LinkModel` (net/link_model.h): set_latency_model(m) is
-/// exactly set_link_model with m's delays and infinite capacity — same
-/// seeded per-link draw, bit-for-bit. Kept as the convenient spelling for
-/// delay-only experiments.
-struct LatencyModel {
-  std::uint32_t min_delay = 1;
-  std::uint32_t max_delay = 1;
-  std::uint64_t seed = 0x1A7E9C1ull;
-
-  [[nodiscard]] std::uint32_t delay(PeerId a, PeerId b) const;
-};
-
 class Engine;
 
 /// Per-peer view handed to protocol callbacks. Sends are buffered in the
@@ -292,11 +274,6 @@ class Engine {
 
   /// Enables the lossy-link model. Must be called before run().
   NF_ENGINE_THREAD void set_fault_model(const LinkFaultModel& model);
-
-  /// Sets heterogeneous link latencies (the infinite-capacity special case
-  /// of set_link_model — bit-identical delays). Must be called before
-  /// run().
-  NF_ENGINE_THREAD void set_latency_model(const LatencyModel& model);
 
   /// Sets the full link model: per-link propagation delay plus per-link
   /// capacity (bytes/round) with a bounded backlog. Under a capacity-

@@ -9,11 +9,10 @@
 //    heterogeneous mix drawn from a seeded hash), with optional per-
 //    hierarchy-level overrides. A directed link's capacity is the min of
 //    its endpoint classes — the narrow end gates the flow.
-//  * `LinkModel` generalizes the engine's `LatencyModel`: per-link
-//    propagation delay (same seeded draw, bit-for-bit) plus per-link
-//    capacity and a bounded backlog horizon. The default is the infinite-
-//    capacity special case, which reproduces the historical engine
-//    byte-for-byte.
+//  * `LinkModel`: per-link propagation delay (a seeded per-link draw from
+//    [min_delay, max_delay]) plus per-link capacity and a bounded backlog
+//    horizon. The default is the infinite-capacity special case, which
+//    reproduces the historical engine byte-for-byte.
 //  * `LinkQueueTable` is the engine-internal per-link backlog ledger the
 //    scheduler in `Engine::admit()` runs against. All mutation happens on
 //    the engine thread in canonical admission order (nf-lint enforces
@@ -166,15 +165,16 @@ class LinkClassModel {
   std::vector<std::uint64_t> level_caps_;  // 0 = no override at that level
 };
 
-/// The full link model: propagation delay (generalizing `LatencyModel` —
-/// same seeded per-link draw, same default seed, bit-for-bit) plus
-/// capacity classes and the backlog horizon. The default is the infinite-
-/// capacity synchronous network, which reproduces the historical engine
-/// exactly.
+/// The full link model: propagation delay plus capacity classes and the
+/// backlog horizon. Each (unordered) overlay link gets a fixed delay drawn
+/// uniformly from [min_delay, max_delay] rounds, deterministic in (seed,
+/// endpoints); protocols need no changes, but completion times stretch to
+/// the slowest path. The default is the infinite-capacity synchronous
+/// network, which reproduces the historical engine exactly.
 struct LinkModel {
   std::uint32_t min_delay = 1;
   std::uint32_t max_delay = 1;
-  std::uint64_t seed = 0x1A7E9C1ull;  // matches LatencyModel's default
+  std::uint64_t seed = 0x1A7E9C1ull;
   LinkClassModel classes{};
   /// Backlog horizon: a link's queue never exceeds capacity * this many
   /// rounds, bounding both delay and transit-ring size.

@@ -79,7 +79,7 @@ const Json& Json::at(std::string_view key) const {
 void Json::push_back(Json value) {
   if (is_null()) v_ = Array{};
   require(is_array(), "json push_back on a non-array");
-  // Reached only through the token engine's name-collision edge on
+  // Reached only through nf-lint's call-graph name-collision edge on
   // `push_back`; Json is report plumbing and never runs inside the engine's
   // steady-state round.
   // nf-lint: nf-cap-noalloc-ok

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 
 #include "common/hashing.h"
 #include "common/rng.h"
+#include "core/netfilter.h"
 
 namespace nf::net {
 namespace {
@@ -252,6 +255,188 @@ TEST(AddAggregatesTest, TrailingGarbageThrows) {
   b.push_back(0x00);
   std::vector<std::uint64_t> acc(2, 0);
   EXPECT_THROW(add_aggregates_from(b, acc), ProtocolError);
+}
+
+// --- Forged and mutated wire input ----------------------------------------
+//
+// Decoders face bytes from other peers: anything malformed must surface as
+// ProtocolError, never as another exception, a crash or a silently wrong
+// value.
+
+/// `count` as a varint, followed by `tail` raw varints.
+Bytes forged(std::uint64_t count, std::initializer_list<std::uint64_t> tail) {
+  Bytes out;
+  put_varint(out, count);
+  for (const std::uint64_t v : tail) put_varint(out, v);
+  return out;
+}
+
+TEST(ForgedInputTest, HugeCountRejectedBeforeReserve) {
+  // A 2^62 count used to reach reserve() and throw std::length_error.
+  const Bytes huge = forged(std::uint64_t{1} << 62, {1, 1});
+  EXPECT_THROW((void)decode_sorted_ids(huge), ProtocolError);
+  EXPECT_THROW((void)decode_pairs(huge), ProtocolError);
+  EXPECT_THROW((void)decode_aggregates(huge), ProtocolError);
+  // count * 4 wraps to 0, which matched an empty tail.
+  EXPECT_THROW((void)decode_aggregates_fixed32(forged(std::uint64_t{1} << 62,
+                                                      {})),
+               ProtocolError);
+}
+
+TEST(ForgedInputTest, DuplicatePairIdRejected) {
+  // (5,1),(5,2): a zero delta after the first id used to sum to {5:3}.
+  EXPECT_THROW((void)decode_pairs(forged(2, {5, 1, 0, 2})), ProtocolError);
+}
+
+TEST(ForgedInputTest, WrappingDeltaRejected) {
+  // 5 then 5 + (2^64 - 1) wraps to 4: decode_pairs used to reorder it and
+  // decode_sorted_ids returned the descending list 5, 4.
+  const std::uint64_t wrap = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW((void)decode_pairs(forged(2, {5, 1, wrap, 1})), ProtocolError);
+  EXPECT_THROW((void)decode_sorted_ids(forged(2, {5, wrap})), ProtocolError);
+  // Equal ids stay legal in a sorted id list: its encoder allows them.
+  EXPECT_EQ(decode_sorted_ids(forged(2, {5, 0})),
+            (std::vector<std::uint64_t>{5, 5}));
+}
+
+/// Every truncation, every single-bit flip and a few random appended tails
+/// of one valid encoding.
+std::vector<Bytes> mutants(const Bytes& valid, Rng& rng) {
+  std::vector<Bytes> out;
+  for (std::size_t len = 0; len < valid.size(); ++len) {
+    out.emplace_back(valid.begin(),
+                     valid.begin() + static_cast<std::ptrdiff_t>(len));
+  }
+  for (std::size_t bit = 0; bit < valid.size() * 8; ++bit) {
+    Bytes b = valid;
+    b[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    out.push_back(std::move(b));
+  }
+  for (std::uint64_t extra = 1; extra <= 3; ++extra) {
+    Bytes b = valid;
+    for (std::uint64_t k = 0; k < extra; ++k) {
+      b.push_back(static_cast<std::uint8_t>(rng()));
+    }
+    out.push_back(std::move(b));
+  }
+  return out;
+}
+
+/// Random value spanning every varint width.
+std::uint64_t any_width(Rng& rng) { return rng() >> rng.below(64); }
+
+using Decoder = std::function<void(std::span<const std::uint8_t>)>;
+
+/// Decodes every mutant of every valid encoding; each must decode or throw
+/// ProtocolError.
+void sweep(const char* name, const std::vector<Bytes>& valid,
+           const Decoder& decode, Rng& rng) {
+  std::size_t decoded = 0;
+  std::size_t rejected = 0;
+  for (const Bytes& v : valid) {
+    decode(v);  // the unmutated encoding must decode
+    for (const Bytes& m : mutants(v, rng)) {
+      try {
+        decode(m);
+        ++decoded;
+      } catch (const ProtocolError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << name << ": non-ProtocolError exception: "
+                      << e.what();
+      }
+    }
+  }
+  // Both outcomes occur: the sweep reaches past the first check.
+  EXPECT_GT(decoded, 0u) << name;
+  EXPECT_GT(rejected, 0u) << name;
+}
+
+TEST(MutationSweepTest, EveryDecoderYieldsValueOrProtocolError) {
+  Rng rng(13);
+  static constexpr int kCases = 12;
+  static constexpr std::uint64_t kMaxLen = 24;
+
+  std::vector<Bytes> ids;
+  std::vector<Bytes> pairs;
+  std::vector<Bytes> aggregates;
+  std::vector<Bytes> fixed32;
+  std::vector<Bytes> varints;
+  for (int c = 0; c < kCases; ++c) {
+    std::vector<std::uint64_t> v(rng.below(kMaxLen + 1));
+    for (std::uint64_t& x : v) x = any_width(rng);
+    aggregates.push_back(encode_aggregates(v));
+    fixed32.push_back(encode_aggregates_fixed32(v));
+    Bytes seq;
+    for (const std::uint64_t x : v) put_varint(seq, x);
+    varints.push_back(std::move(seq));
+    std::sort(v.begin(), v.end());
+    ids.push_back(encode_sorted_ids(v));
+    ValueMap<ItemId, std::uint64_t> map;
+    for (const std::uint64_t x : v) map.add(ItemId(x), any_width(rng));
+    pairs.push_back(encode_pairs(map));
+  }
+
+  sweep("decode_sorted_ids", ids,
+        [](std::span<const std::uint8_t> in) {
+          const std::vector<std::uint64_t> out = decode_sorted_ids(in);
+          EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+        },
+        rng);
+  sweep("decode_pairs", pairs,
+        [](std::span<const std::uint8_t> in) {
+          const ValueMap<ItemId, std::uint64_t> out = decode_pairs(in);
+          EXPECT_EQ(decode_pairs(encode_pairs(out)), out);
+        },
+        rng);
+  sweep("decode_aggregates", aggregates,
+        [](std::span<const std::uint8_t> in) {
+          (void)decode_aggregates(in);
+        },
+        rng);
+  sweep("decode_aggregates_fixed32", fixed32,
+        [](std::span<const std::uint8_t> in) {
+          (void)decode_aggregates_fixed32(in);
+        },
+        rng);
+  sweep("add_aggregates_from", aggregates,
+        [](std::span<const std::uint8_t> in) {
+          // Size the accumulator to the mutant's own count (capped), so
+          // most mutants get past the width check into the decode loop.
+          std::size_t offset = 0;
+          const std::uint64_t count = get_varint(in, offset);
+          std::vector<std::uint64_t> acc(std::min(count, kMaxLen), 0);
+          add_aggregates_from(in, acc);
+        },
+        rng);
+  sweep("get_varint", varints,
+        [](std::span<const std::uint8_t> in) {
+          std::size_t offset = 0;
+          while (offset < in.size()) (void)get_varint(in, offset);
+        },
+        rng);
+}
+
+TEST(MutationSweepTest, HeavyGroupDecoderYieldsValueOrProtocolError) {
+  Rng rng(17);
+  constexpr std::uint32_t kFilters = 3;
+  constexpr std::uint32_t kGroups = 50;
+  std::vector<Bytes> valid;
+  for (int c = 0; c < 12; ++c) {
+    core::HeavyGroupSet heavy;
+    heavy.heavy.assign(kFilters, std::vector<bool>(kGroups, false));
+    for (auto& bitmap : heavy.heavy) {
+      for (std::size_t j = 0; j < kGroups; ++j) {
+        bitmap[j] = rng.below(5) == 0;
+      }
+    }
+    valid.push_back(core::encode_heavy_groups(heavy));
+  }
+  sweep("decode_heavy_groups", valid,
+        [](std::span<const std::uint8_t> in) {
+          (void)core::decode_heavy_groups(in, kFilters, kGroups);
+        },
+        rng);
 }
 
 }  // namespace

@@ -35,8 +35,8 @@ namespace {
 
 using net::Engine;
 using net::Envelope;
-using net::LatencyModel;
 using net::LinkFaultModel;
+using net::LinkModel;
 using net::Overlay;
 using net::TrafficCategory;
 using net::TrafficMeter;
@@ -81,14 +81,14 @@ struct RunTrace {
 /// hierarchy) at the given shard count and records everything observable.
 RunTrace run_convergecast(const TestWorld& world, std::uint32_t threads,
                           const LinkFaultModel* fault,
-                          const LatencyModel* latency) {
+                          const LinkModel* latency) {
   const core::NetFilter nf(core::NetFilterConfig{});
   TrafficMeter meter(kPeers);
   Overlay overlay = world.overlay;  // engines never mutate it, but stay safe
   Engine engine(overlay, meter);
   engine.set_threads(threads);
   if (fault != nullptr) engine.set_fault_model(*fault);
-  if (latency != nullptr) engine.set_latency_model(*latency);
+  if (latency != nullptr) engine.set_link_model(*latency);
 
   RunTrace trace;
   engine.set_send_probe([&trace](const Envelope& env) {
@@ -154,10 +154,7 @@ TEST(DeterminismTest, LossyLinksPreserveTheSendStream) {
 
 TEST(DeterminismTest, LatencyJitterPreservesTheSendStream) {
   const TestWorld world = TestWorld::make();
-  LatencyModel latency;
-  latency.min_delay = 1;
-  latency.max_delay = 4;
-  latency.seed = 7;
+  const LinkModel latency{1, 4, 7};
   const RunTrace serial = run_convergecast(world, 1, nullptr, &latency);
   for (const std::uint32_t k : kShardCounts) {
     expect_identical(serial, run_convergecast(world, k, nullptr, &latency), k);
@@ -169,10 +166,7 @@ TEST(DeterminismTest, LossPlusLatencyPreservesTheSendStream) {
   LinkFaultModel fault;
   fault.loss_probability = 0.15;
   fault.seed = 3;
-  LatencyModel latency;
-  latency.min_delay = 1;
-  latency.max_delay = 3;
-  latency.seed = 21;
+  const LinkModel latency{1, 3, 21};
   const RunTrace serial = run_convergecast(world, 1, &fault, &latency);
   for (const std::uint32_t k : kShardCounts) {
     expect_identical(serial, run_convergecast(world, k, &fault, &latency), k);

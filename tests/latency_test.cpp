@@ -1,4 +1,4 @@
-// Heterogeneous link latencies (net/engine.h LatencyModel).
+// Heterogeneous link latencies (net/link_model.h LinkModel delays).
 #include <gtest/gtest.h>
 
 #include "agg/convergecast.h"
@@ -17,17 +17,13 @@ Overlay make_line(std::uint32_t n) {
   return Overlay(std::move(t));
 }
 
-LatencyModel slow_links(std::uint32_t min_d, std::uint32_t max_d,
-                        std::uint64_t seed = 3) {
-  LatencyModel m;
-  m.min_delay = min_d;
-  m.max_delay = max_d;
-  m.seed = seed;
-  return m;
+LinkModel slow_links(std::uint32_t min_d, std::uint32_t max_d,
+                     std::uint64_t seed = 3) {
+  return LinkModel{min_d, max_d, seed};
 }
 
 TEST(LatencyModelTest, DelayIsSymmetricAndBounded) {
-  const LatencyModel m = slow_links(2, 7);
+  const LinkModel m = slow_links(2, 7);
   for (std::uint32_t a = 0; a < 20; ++a) {
     for (std::uint32_t b = a + 1; b < 20; ++b) {
       const std::uint32_t d = m.delay(PeerId(a), PeerId(b));
@@ -42,7 +38,7 @@ TEST(LatencyModelTest, UnitModelChangesNothing) {
   Overlay overlay = make_line(5);
   TrafficMeter meter(5);
   Engine engine(overlay, meter);
-  engine.set_latency_model(LatencyModel{});  // (1,1)
+  engine.set_link_model(LinkModel{});  // (1,1)
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
   agg::Convergecast<std::uint64_t> cast(
       h, TrafficCategory::kFiltering, [](PeerId) { return std::uint64_t{1}; },
@@ -59,7 +55,7 @@ TEST(LatencyModelTest, SlowLinksStretchCompletionNotCorrectness) {
     Overlay overlay(random_connected(50, 4.0, rng));
     TrafficMeter meter(50);
     Engine engine(overlay, meter);
-    engine.set_latency_model(slow_links(1, max_delay));
+    engine.set_link_model(slow_links(1, max_delay));
     const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
     agg::Convergecast<std::uint64_t> cast(
         h, TrafficCategory::kFiltering,
@@ -86,7 +82,7 @@ TEST(LatencyModelTest, FixedDelayLineIsExactlyPredictable) {
   Overlay overlay = make_line(4);
   TrafficMeter meter(4);
   Engine engine(overlay, meter);
-  engine.set_latency_model(slow_links(3, 3));
+  engine.set_link_model(slow_links(3, 3));
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
   agg::Convergecast<std::uint64_t> cast(
       h, TrafficCategory::kFiltering, [](PeerId) { return std::uint64_t{1}; },
@@ -103,7 +99,7 @@ TEST(LatencyModelTest, ComposesWithLossModel) {
   Overlay overlay(random_connected(30, 4.0, rng));
   TrafficMeter meter(30);
   Engine engine(overlay, meter);
-  engine.set_latency_model(slow_links(1, 4));
+  engine.set_link_model(slow_links(1, 4));
   LinkFaultModel fault;
   fault.loss_probability = 0.2;
   fault.retransmit_after = 6;  // cover the worst link delay + ack
@@ -122,13 +118,8 @@ TEST(LatencyModelTest, InvalidModelsRejected) {
   Overlay overlay = make_line(2);
   TrafficMeter meter(2);
   Engine engine(overlay, meter);
-  LatencyModel zero;
-  zero.min_delay = 0;
-  EXPECT_THROW(engine.set_latency_model(zero), InvalidArgument);
-  LatencyModel inverted;
-  inverted.min_delay = 5;
-  inverted.max_delay = 2;
-  EXPECT_THROW(engine.set_latency_model(inverted), InvalidArgument);
+  EXPECT_THROW(engine.set_link_model(slow_links(0, 1)), InvalidArgument);
+  EXPECT_THROW(engine.set_link_model(slow_links(5, 2)), InvalidArgument);
 }
 
 }  // namespace

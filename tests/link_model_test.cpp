@@ -107,37 +107,6 @@ TEST(LinkModelTest, InvalidModelsRejected) {
   EXPECT_THROW(engine.set_link_model(no_horizon), InvalidArgument);
 }
 
-TEST(LinkModelTest, InfiniteCapacityMatchesLatencyModelExactly) {
-  auto run = [](bool via_link_model) {
-    Rng rng(5);
-    Overlay overlay(random_connected(40, 4.0, rng));
-    TrafficMeter meter(40);
-    Engine engine(overlay, meter);
-    if (via_link_model) {
-      LinkModel link;
-      link.min_delay = 2;
-      link.max_delay = 6;
-      link.seed = 3;
-      engine.set_link_model(link);
-    } else {
-      LatencyModel lat;
-      lat.min_delay = 2;
-      lat.max_delay = 6;
-      lat.seed = 3;
-      engine.set_latency_model(lat);
-    }
-    const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
-    auto cast = counting_cast(h, 4);
-    const std::uint64_t rounds = engine.run(cast, 5000);
-    EXPECT_TRUE(cast.complete());
-    EXPECT_EQ(cast.result(), 40u);
-    return std::pair{rounds, meter.total()};
-  };
-  // The infinite-capacity LinkModel IS the LatencyModel: same seeded draw,
-  // same deliveries, same rounds, same bytes.
-  EXPECT_EQ(run(true), run(false));
-}
-
 TEST(LinkModelTest, CapacityStretchesRoundsNotBytes) {
   auto run = [](std::uint64_t capacity) {
     Overlay overlay = make_line(4);

@@ -1,8 +1,8 @@
 // nf-lint fixture: nf-cap-complete must fire — a function touches the
 // engine's guarded, merge-order-sensitive member set (lineage_) without
 // declaring any capability. Every toucher must say which execution context
-// it runs in (src/common/capability.h). Lexed by tools/nf-lint; compiled
-// only by the engine parity test (tests/lint/nf_lint_parity.cmake).
+// it runs in (src/common/capability.h).
+// Lexed by tools/nf-lint, never compiled.
 #include <cstdint>
 
 namespace fixture {

@@ -1,8 +1,8 @@
 // nf-lint fixture: nf-cap-noalloc must fire twice — a growing container op
 // with no reserve in sight directly inside an NF_STEADY_NOALLOC root, and
 // operator new one call away (the whole-program walk must descend through
-// the helper). Lexed by tools/nf-lint; compiled only by the engine parity
-// test (tests/lint/nf_lint_parity.cmake).
+// the helper).
+// Lexed by tools/nf-lint, never compiled.
 #include <cstdint>
 #include <vector>
 

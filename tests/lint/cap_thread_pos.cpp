@@ -1,8 +1,8 @@
 // nf-lint fixture: nf-cap-thread must fire — an NF_SHARD_CONTEXT callback
 // calls an NF_ENGINE_THREAD-only API. Engine-thread bookkeeping is
 // canonical-order sensitive; invoking it from a shard callback races the
-// barrier merge. Lexed by tools/nf-lint; compiled only by the engine
-// parity test (tests/lint/nf_lint_parity.cmake).
+// barrier merge.
+// Lexed by tools/nf-lint, never compiled.
 #include <cstdint>
 
 #include "common/capability.h"

@@ -2,7 +2,7 @@
 // from a protocol component. The Misra-Gries link summary is merge-order
 // sensitive, so only net/engine.cpp's canonical barrier merge may charge
 // it (folded into the capability pass from the old nf-obs-context rule).
-// Lexed by tools/nf-lint; compiled only by the engine parity test.
+// Lexed by tools/nf-lint, never compiled.
 #include <cstddef>
 #include <cstdint>
 

@@ -8,7 +8,7 @@ file(MAKE_DIRECTORY ${work})
 configure_file(${FIXTURES}/arena_map_pos.cpp ${work}/seeded.cpp COPYONLY)
 
 execute_process(
-  COMMAND ${LINT} --engine=tokens --check=nf-arena-map
+  COMMAND ${LINT} --check=nf-arena-map
           --write-baseline=${work}/baseline.txt ${work}/seeded.cpp
   RESULT_VARIABLE write_rc
   OUTPUT_VARIABLE write_out)
@@ -22,7 +22,7 @@ endif()
 
 # Against the fresh baseline every finding is known: the gate passes.
 execute_process(
-  COMMAND ${LINT} --engine=tokens --check=nf-arena-map
+  COMMAND ${LINT} --check=nf-arena-map
           --baseline=${work}/baseline.txt ${work}/seeded.cpp
   RESULT_VARIABLE known_rc
   OUTPUT_VARIABLE known_out)
@@ -38,7 +38,7 @@ endif()
 file(APPEND ${work}/seeded.cpp
   "namespace fixture { std::map<NodeId, int> fresh_state; }\n")
 execute_process(
-  COMMAND ${LINT} --engine=tokens --check=nf-arena-map
+  COMMAND ${LINT} --check=nf-arena-map
           --baseline=${work}/baseline.txt ${work}/seeded.cpp
   RESULT_VARIABLE new_rc
   OUTPUT_VARIABLE new_out)

@@ -4,7 +4,7 @@
 # must lint clean (exit 0, zero findings). Variables: LINT (binary), CHECK
 # (full check name), POS / OK (fixture paths).
 execute_process(
-  COMMAND ${LINT} --engine=tokens --check=${CHECK} ${POS}
+  COMMAND ${LINT} --check=${CHECK} ${POS}
   RESULT_VARIABLE pos_rc
   OUTPUT_VARIABLE pos_out
   ERROR_VARIABLE pos_err)
@@ -23,7 +23,7 @@ if(NOT pos_out MATCHES "${pos_name}")
 endif()
 
 execute_process(
-  COMMAND ${LINT} --engine=tokens --check=${CHECK} ${OK}
+  COMMAND ${LINT} --check=${CHECK} ${OK}
   RESULT_VARIABLE ok_rc
   OUTPUT_VARIABLE ok_out
   ERROR_VARIABLE ok_err)

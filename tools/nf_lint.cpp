@@ -1,13 +1,12 @@
-// nf-lint driver + dependency-free token-level engine (nf_lint.h).
+// nf-lint command-line entry point + dependency-free token-level checks
+// (nf_lint.h).
 //
-// The token engine deliberately over-approximates: it cannot track aliasing
-// or types across translation units, so it flags the *pattern* (an
-// unordered container declared in protocol code, a wall-clock token outside
-// obs/, a registry lookup under a loop) and relies on `// nf-lint:
-// <check>-ok` suppressions where a human has proven the site safe. The
-// Clang engine (nf_lint_clang.cpp, optional) resolves types instead of
-// guessing from spelling. Both feed the same suppression/baseline pipeline
-// below, so CI behaves identically whichever engine a machine can build.
+// The checks deliberately over-approximate: they cannot track aliasing or
+// types across translation units, so they flag the *pattern* (an unordered
+// container declared in protocol code, a wall-clock token outside obs/, a
+// registry lookup under a loop) and rely on `// nf-lint: <check>-ok`
+// suppressions where a human has proven the site safe. main() below
+// applies those suppressions and the baseline.
 //
 // Lexing lives in nf_lint_lex.h (shared with the capability pass); the
 // whole-program capability checks live in nf_lint_cap.cpp and run over a
@@ -101,7 +100,7 @@ std::vector<int> loop_depths(const std::vector<Tok>& t) {
 // Protocol emission order must be deterministic, and iterating a
 // std::unordered_{map,set} is the classic way to lose that silently
 // (PAPER.md §III's exactness claim survives only if every peer emits group
-// sums in one canonical order). The token engine cannot prove a container
+// sums in one canonical order). A token scan cannot prove a container
 // is never iterated, so it flags the declaration too — membership-only
 // containers either become sorted vectors (the usual fix) or carry an
 // inline suppression stating the proof.
@@ -504,8 +503,8 @@ void check_link_model(const SourceFile& file, const std::vector<Tok>& t,
 
 }  // namespace
 
-std::vector<Finding> run_token_engine(const std::vector<std::string>& paths,
-                                      const std::vector<Check>& checks) {
+std::vector<Finding> run_checks(const std::vector<std::string>& paths,
+                                const std::vector<Check>& checks) {
   std::vector<Finding> out;
   const auto enabled = [&checks](Check c) {
     return std::find(checks.begin(), checks.end(), c) != checks.end();
@@ -546,17 +545,6 @@ std::vector<Finding> run_token_engine(const std::vector<std::string>& paths,
   return out;
 }
 
-#ifndef NF_LINT_HAVE_CLANG
-bool clang_engine_available() { return false; }
-bool run_clang_engine(const std::vector<std::string>&,
-                      const std::vector<Check>&, const std::string&,
-                      std::vector<Finding>&, std::string& error) {
-  error = "built without Clang LibTooling support (find_package(Clang) "
-          "failed at configure time); use --engine=tokens";
-  return false;
-}
-#endif
-
 }  // namespace nf::lint
 
 // ---------------------------------------------------------------------------
@@ -574,8 +562,6 @@ struct Options {
   std::string baseline;
   std::string write_baseline;
   std::string report;
-  std::string engine = "auto";  // auto | tokens | clang
-  std::string compdb = "build";
   bool quiet = false;
   bool strict_suppressions = false;
 };
@@ -590,9 +576,6 @@ int usage(const char* argv0) {
       "  --baseline FILE        fail only on findings not in FILE\n"
       "  --write-baseline FILE  write current findings as the new baseline\n"
       "  --report FILE          also write the findings report to FILE\n"
-      "  --engine E             auto|tokens|clang (default auto)\n"
-      "  --compdb DIR           compile_commands.json dir for the clang "
-      "engine (default build)\n"
       "  --strict-suppressions  fail when a `<check>-ok` comment suppresses "
       "nothing\n"
       "  --list-checks          print the check catalog and exit\n"
@@ -759,14 +742,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
       opt.report = v;
-    } else if (arg == "--engine") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.engine = v;
-    } else if (arg == "--compdb") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.compdb = v;
     } else if (arg == "--strict-suppressions") {
       opt.strict_suppressions = true;
     } else if (arg == "-q" || arg == "--quiet") {
@@ -786,35 +761,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<Finding> findings;
-  std::string engine_used = "tokens";
-  if (opt.engine == "clang" ||
-      (opt.engine == "auto" && nf::lint::clang_engine_available())) {
-    std::string error;
-    if (nf::lint::run_clang_engine(files, opt.checks, opt.compdb, findings,
-                                   error)) {
-      engine_used = "clang";
-    } else if (opt.engine == "clang") {
-      std::fprintf(stderr, "nf-lint: %s\n", error.c_str());
-      return 2;
-    } else {
-      if (!opt.quiet) {
-        std::fprintf(stderr, "nf-lint: clang engine unavailable (%s); "
-                             "falling back to token engine\n",
-                     error.c_str());
-      }
-      findings = nf::lint::run_token_engine(files, opt.checks);
-    }
-  } else if (opt.engine == "tokens" || opt.engine == "auto") {
-    findings = nf::lint::run_token_engine(files, opt.checks);
-  } else {
-    return usage(argv[0]);
-  }
-
+  std::vector<Finding> findings = nf::lint::run_checks(files, opt.checks);
   std::vector<Suppression> suppressions =
       collect_suppressions(files, opt.checks);
-  apply_suppressions(findings, suppressions);
-  nf::lint::sort_findings(findings);
+  apply_suppressions(findings, suppressions);  // keeps the sorted order
 
   if (!opt.write_baseline.empty()) {
     std::ofstream out(opt.write_baseline, std::ios::binary);
@@ -877,7 +827,7 @@ int main(int argc, char** argv) {
            << "it (or re-justify it) so the audit trail stays honest\n";
   }
   std::ostringstream summary;
-  summary << "nf-lint (" << engine_used << "): " << findings.size()
+  summary << "nf-lint: " << findings.size()
           << " finding" << (findings.size() == 1 ? "" : "s");
   if (!opt.baseline.empty()) {
     summary << " (" << new_count << " new vs " << opt.baseline << ")";

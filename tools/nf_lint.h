@@ -7,12 +7,10 @@
 // null-guarded contexts plus cached metric handles on hot paths. nf-lint
 // turns those conventions into diagnostics.
 //
-// Two engines share this header and the driver in nf_lint.cpp:
-//   * a dependency-free token-level analyzer (always built, what CI runs),
-//   * a Clang LibTooling pass over compile_commands.json (nf_lint_clang.cpp,
-//     compiled only when find_package(Clang) succeeds; sharper on types).
-// Both emit `Finding`s; suppression, baseline and report handling are
-// engine-independent.
+// The analyzer is dependency-free and token-level (nf_lint.cpp, with the
+// whole-program capability pass in nf_lint_cap.cpp): it emits `Finding`s,
+// and main() in nf_lint.cpp applies suppressions, the baseline and the
+// report to them.
 #pragma once
 
 #include <algorithm>
@@ -40,12 +38,6 @@ inline constexpr Check kAllChecks[] = {
     Check::kEnvelopeDiscipline, Check::kArenaMap, Check::kObsContext,
     Check::kFlatPayload, Check::kLinkModel, Check::kCapThread,
     Check::kCapNoalloc, Check::kCapComplete};
-
-/// The whole-program capability checks (common/capability.h): run over a
-/// cross-file call graph instead of one file at a time, and the only checks
-/// whose messages are engine-independent (tests/lint parity relies on it).
-inline constexpr Check kCapChecks[] = {Check::kCapThread, Check::kCapNoalloc,
-                                       Check::kCapComplete};
 
 inline const char* check_name(Check c) {
   switch (c) {
@@ -148,19 +140,9 @@ inline void sort_findings(std::vector<Finding>& findings) {
             });
 }
 
-/// Token-level engine (nf_lint.cpp). `paths` are files, not directories.
-std::vector<Finding> run_token_engine(const std::vector<std::string>& paths,
-                                      const std::vector<Check>& checks);
-
-/// Clang LibTooling engine. Returns false (with `error` set) when the
-/// binary was built without Clang support or the compilation database at
-/// `compdb_dir` cannot be loaded.
-bool run_clang_engine(const std::vector<std::string>& paths,
-                      const std::vector<Check>& checks,
-                      const std::string& compdb_dir,
-                      std::vector<Finding>& findings, std::string& error);
-
-/// True when this binary was compiled with the LibTooling engine.
-bool clang_engine_available();
+/// Runs `checks` over `paths` (files, not directories); the findings are
+/// sorted and not yet filtered by suppressions or a baseline.
+std::vector<Finding> run_checks(const std::vector<std::string>& paths,
+                                const std::vector<Check>& checks);
 
 }  // namespace nf::lint

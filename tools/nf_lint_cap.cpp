@@ -1,8 +1,7 @@
-// Capability model extraction (token engine) and the shared whole-program
-// analyzer behind nf-cap-thread / nf-cap-noalloc / nf-cap-complete
-// (nf_lint_cap.h).
+// Capability model extraction and the whole-program analyzer behind
+// nf-cap-thread / nf-cap-noalloc / nf-cap-complete (nf_lint_cap.h).
 //
-// The token-side extractor is a deliberate over-approximation of C++: it
+// The extractor is a deliberate over-approximation of C++: it
 // tracks namespace/class scopes by brace matching, recognizes function
 // definitions and declarations by the `ident (` shape at declaration scope,
 // and attributes everything inside a body (lambdas included) to the
@@ -321,14 +320,6 @@ unsigned capability_from_macro(const std::string& token) {
   return 0;
 }
 
-unsigned capability_from_annotation(const std::string& annotation) {
-  if (annotation == "nf::cap::engine_thread") return kCapEngineThread;
-  if (annotation == "nf::cap::shard_context") return kCapShardContext;
-  if (annotation == "nf::cap::reentrant") return kCapReentrant;
-  if (annotation == "nf::cap::steady_noalloc") return kCapSteadyNoalloc;
-  return 0;
-}
-
 std::string capability_names(unsigned mask) {
   std::string out;
   const auto add = [&out](const char* name) {
@@ -348,6 +339,11 @@ const std::vector<std::string>& guarded_members() {
   return members;
 }
 
+namespace {
+
+/// Receiver identifiers that appear in a `x.reserve(...)` call anywhere in
+/// the token stream — the "reserve in sight" evidence for container-growth
+/// effects.
 std::vector<std::string> reserve_evidence(const std::vector<Tok>& t) {
   std::vector<std::string> out;
   for (std::size_t i = 0; i + 3 < t.size(); ++i) {
@@ -362,6 +358,9 @@ std::vector<std::string> reserve_evidence(const std::vector<Tok>& t) {
   return out;
 }
 
+/// Scans one function body's token range (open/close brace indices) for
+/// call sites, effect sites and guarded-member touches. `reserved` holds
+/// receiver identifiers with reserve() evidence in the same file.
 void scan_body(const std::vector<Tok>& t, std::size_t body_open,
                std::size_t body_close,
                const std::vector<std::string>& reserved, Function& fn) {
@@ -444,6 +443,8 @@ void scan_body(const std::vector<Tok>& t, std::size_t body_open,
     }
   }
 }
+
+}  // namespace
 
 void extract_from_tokens(const SourceFile& file, const std::vector<Tok>& t,
                          Model& model) {

@@ -1,16 +1,9 @@
 // Whole-program capability & effect analysis for nf-lint (nf_lint.h).
 //
-// The engines do not run this analysis themselves — they *extract* a
-// CapModel (function definitions with their declared capabilities, call
-// sites, allocation-effect sites, guarded-member touches) and hand it to
-// one shared analyzer, so findings, messages and ordering are identical
-// whichever engine produced the model:
-//
-//   * the token engine lexes every file (nf_lint_lex.h) and parses
-//     definitions/declarations with scope tracking (nf_lint_cap.cpp);
-//   * the Clang engine walks real ASTs over compile_commands.json and maps
-//     [[clang::annotate("nf::cap::...")]] attributes + direct callees into
-//     the same model (nf_lint_clang.cpp).
+// nf-lint lexes every file (nf_lint_lex.h), parses function definitions
+// and declarations with scope tracking, and *extracts* a Model (functions
+// with their declared capabilities, call sites, allocation-effect sites,
+// guarded-member touches); the analyzer then runs over the whole model.
 //
 // Three checks run over the model (docs/STATIC_ANALYSIS.md "Capability
 // model", macros in src/common/capability.h):
@@ -45,10 +38,6 @@ inline constexpr unsigned kCapSteadyNoalloc = 1u << 3;
 
 /// NF_ENGINE_THREAD -> kCapEngineThread, ... ; 0 for anything else.
 unsigned capability_from_macro(const std::string& token);
-
-/// "nf::cap::engine_thread" -> kCapEngineThread, ... ; 0 for anything else
-/// (the [[clang::annotate]] string the macros expand to).
-unsigned capability_from_annotation(const std::string& annotation);
 
 /// Human-readable macro spelling(s) of a mask, e.g. "NF_ENGINE_THREAD".
 std::string capability_names(unsigned mask);
@@ -104,31 +93,18 @@ struct Function {
   }
 };
 
-/// The whole-program model one engine extracted.
+/// The whole-program model extracted from every scanned file.
 struct Model {
   std::vector<Function> functions;
   /// Raw source lines per display path, for finding snippets.
   std::map<std::string, std::vector<std::string>> lines;
 };
 
-/// Token-engine extraction: parses definitions/declarations out of `file`
+/// Parses definitions/declarations out of `file`
 /// and appends them (use lex(file, /*skip_preprocessor=*/true) for `toks`
 /// so macro definitions spelling the macros don't read as annotations).
 void extract_from_tokens(const lex::SourceFile& file,
                          const std::vector<lex::Tok>& toks, Model& model);
-
-/// Scans one function body's token range (open/close brace indices) for
-/// call sites, effect sites and guarded-member touches. Shared with the
-/// Clang engine so both classify effects identically. `reserved` holds
-/// receiver identifiers with reserve() evidence in the same file.
-void scan_body(const std::vector<lex::Tok>& toks, std::size_t body_open,
-               std::size_t body_close,
-               const std::vector<std::string>& reserved, Function& fn);
-
-/// Receiver identifiers that appear in a `x.reserve(...)` call anywhere in
-/// the token stream — the "reserve in sight" evidence for container-growth
-/// effects.
-std::vector<std::string> reserve_evidence(const std::vector<lex::Tok>& toks);
 
 /// Runs the enabled capability checks over the model and appends findings.
 /// Deterministic: the model is sorted internally before analysis.

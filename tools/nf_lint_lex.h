@@ -2,10 +2,8 @@
 //
 // Extracted from the per-file checks in nf_lint.cpp when the whole-program
 // capability pass (nf_lint_cap.h) arrived: both consume the same
-// sanitized-token view of a source file, and the Clang engine reuses the
-// body scanner for effect sites so the two engines classify allocation
-// constructs identically. Everything here is dependency-free and
-// deterministic: same bytes in, same tokens out.
+// sanitized-token view of a source file. Everything here is dependency-free
+// and deterministic: same bytes in, same tokens out.
 #pragma once
 
 #include <cctype>
