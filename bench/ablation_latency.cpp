@@ -7,6 +7,7 @@
 #include "bench/bench_util.h"
 
 #include "agg/convergecast.h"
+#include "net/session.h"
 
 int main(int argc, char** argv) {
   using namespace nf;
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
       engine.set_link_model(net::LinkModel{1, max_delay, cli.seed + 1});
       engine.set_fault_model(cfg.fault);
 
-      agg::Convergecast<std::vector<Value>> phase1(
+      agg::ConvergecastPhase<std::vector<Value>> phase1(
           env.hierarchy, net::TrafficCategory::kFiltering,
           [&](PeerId p) {
             return nf.local_group_aggregates(env.workload.local_items(p));
@@ -57,7 +58,8 @@ int main(int argc, char** argv) {
           [&](const std::vector<Value>&) {
             return std::uint64_t{4} * 3 * 100;
           });
-      std::uint64_t rounds = engine.run(phase1, 100000);
+      std::uint64_t rounds = net::run_phase(
+          engine, phase1, net::kStandaloneConvergecast, 100000);
       if (!phase1.complete()) {
         table.row(max_delay, loss, "stall", 0.0, "NO");
         continue;
@@ -69,7 +71,7 @@ int main(int argc, char** argv) {
           heavy.heavy[i][j] = phase1.result()[i * 100 + j] >= t;
         }
       }
-      agg::Convergecast<LocalItems> phase2(
+      agg::ConvergecastPhase<LocalItems> phase2(
           env.hierarchy, net::TrafficCategory::kAggregation,
           [&](PeerId p) {
             return nf.materialize_candidates(env.workload.local_items(p),
@@ -77,7 +79,8 @@ int main(int argc, char** argv) {
           },
           [](LocalItems& a, LocalItems&& b) { a.merge_add(b); },
           [](const LocalItems& m) { return m.size() * 8; });
-      rounds += engine.run(phase2, 100000);
+      rounds += net::run_phase(engine, phase2, net::kStandaloneConvergecast,
+                               100000);
       LocalItems frequent = phase2.result();
       frequent.retain([&](ItemId, Value v) { return v >= t; });
       table.row(max_delay, loss, rounds, meter.per_peer(),

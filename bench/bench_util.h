@@ -32,6 +32,7 @@
 #include "agg/hierarchy.h"
 #include "common/table.h"
 #include "core/cost_model.h"
+#include "core/host_report.h"
 #include "core/naive.h"
 #include "core/netfilter.h"
 #include "core/query_service.h"
@@ -126,10 +127,12 @@ struct Env {
     }
   }
 
-  /// The classic three-run orchestration (global barriers between phases),
-  /// kept as the A/B baseline for the pipelined session runtime. Runs on a
-  /// scratch meter without obs so it never disturbs the report of the
-  /// pipelined run it is compared against; only the round counts differ.
+  /// The barriered schedule, the A/B baseline for the pipelined session:
+  /// filter_candidates then verify_candidates, three engine runs with a
+  /// global barrier between phases, over the same host-report-folded view
+  /// NetFilter::run uses. Runs on a scratch meter without obs so it never
+  /// disturbs the report of the pipelined run it is compared against; only
+  /// the round counts differ.
   [[nodiscard]] core::NetFilterStats run_netfilter_barriered(
       std::uint32_t g, std::uint32_t f) {
     net::TrafficMeter scratch(params.num_peers);
@@ -137,9 +140,17 @@ struct Env {
     cfg.num_groups = g;
     cfg.num_filters = f;
     cfg.threads = params.threads;
-    cfg.barriered = true;
     const core::NetFilter nf(cfg);
-    return nf.run(workload, hierarchy, overlay, scratch, threshold()).stats;
+    const core::EffectiveItems items(workload, hierarchy, overlay, cfg.wire,
+                                     &scratch);
+    core::NetFilterStats stats;
+    const core::HeavyGroupSet heavy = nf.filter_candidates(
+        items, hierarchy, overlay, scratch, threshold(), &stats);
+    stats = nf.verify_candidates(items, hierarchy, overlay, scratch,
+                                 threshold(), heavy, stats)
+                .stats;
+    stats.rounds_total = stats.rounds_filtering + stats.rounds_verification;
+    return stats;
   }
 
   [[nodiscard]] core::NaiveResult run_naive() {

@@ -14,6 +14,7 @@
 #include "common/item_source.h"
 #include "common/wire.h"
 #include "net/engine.h"
+#include "net/session.h"
 
 namespace nf::agg {
 
@@ -30,7 +31,7 @@ struct BootstrapTotals {
     net::Overlay& overlay, net::TrafficMeter& meter, const WireSizes& wire,
     net::TrafficCategory category = net::TrafficCategory::kSampling) {
   using Pair = std::pair<Value, std::uint64_t>;
-  Convergecast<Pair> cast(
+  ConvergecastPhase<Pair> cast(
       hierarchy, category,
       /*local=*/
       [&](PeerId p) {
@@ -45,7 +46,8 @@ struct BootstrapTotals {
       [&wire](const Pair&) { return std::uint64_t{2} * wire.aggregate_bytes; });
   net::Engine engine(overlay, meter);
   BootstrapTotals out;
-  out.rounds = engine.run(cast, 100000);
+  out.rounds =
+      net::run_phase(engine, cast, net::kStandaloneConvergecast, 100000);
   ensure(cast.complete(), "bootstrap aggregate did not complete");
   out.v_total = cast.result().first;
   out.num_members = cast.result().second;

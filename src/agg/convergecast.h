@@ -16,12 +16,11 @@
 // T = ValueMap<ItemId> for candidate aggregation (phase 2), and scalar
 // pairs for the v / N bootstrap aggregates.
 //
-// ConvergecastPhase is the session-runtime component (net/session.h): it
+// ConvergecastPhase is a session-runtime component (net/session.h): it
 // initializes a peer when its phase opens there — so a convergecast can
 // start per peer, pipelined behind whatever triggers it — and reports
-// done() once the root has merged every child. Convergecast is the classic
-// standalone protocol, now a thin shim wrapping one phase in a
-// single-session mux.
+// done() once the root has merged every child. To run one alone, pass it
+// to net::run_phase with net::kStandaloneConvergecast.
 #pragma once
 
 #include <atomic>
@@ -46,8 +45,9 @@ namespace nf::agg {
 /// Messages are typed (net::TypedPhase<T>): a payload type error in caller
 /// code fails at compile time.
 template <typename T>
-// Legacy object-payload path; flat counterpart: FlatAggregateConvergecast /
-// FlatPairsConvergecast (agg/flat_phases.h).
+// Legacy object-payload path; flat counterparts:
+// FlatAggregateConvergecastPhase and FlatPairsConvergecastPhase
+// (agg/flat_phases.h).
 class ConvergecastPhase final : public net::TypedPhase<T> {  // nf-lint: nf-flat-payload-ok
  public:
   using LocalFn = std::function<T(PeerId)>;
@@ -166,53 +166,6 @@ class ConvergecastPhase final : public net::TypedPhase<T> {  // nf-lint: nf-flat
   CompleteFn on_complete_;
   PeerArena<State> state_;
   std::atomic<bool> complete_{false};
-};
-
-/// Standalone run-to-completion convergecast: one phase, one anonymous
-/// session, opened at every member on the first tick. Existing callers
-/// (bootstrap aggregates, tests) keep compiling unchanged.
-template <typename T>
-class Convergecast final : public net::Protocol {
- public:
-  using LocalFn = typename ConvergecastPhase<T>::LocalFn;
-  using MergeFn = typename ConvergecastPhase<T>::MergeFn;
-  using WireBytesFn = typename ConvergecastPhase<T>::WireBytesFn;
-
-  Convergecast(const Hierarchy& hierarchy, net::TrafficCategory category,
-               LocalFn local, MergeFn merge, WireBytesFn wire_bytes,
-               obs::Context* obs = nullptr)
-      : phase_(hierarchy, category, std::move(local), std::move(merge),
-               std::move(wire_bytes), obs),
-        mux_(obs) {
-    const net::SessionId sid = mux_.add_session();
-    net::PhaseOptions opts;
-    opts.start = net::PhaseStart::kAllPeers;
-    opts.open_on_message = false;
-    mux_.add_phase(sid, phase_, opts);
-  }
-
-  void on_run_start(const net::Overlay& overlay) override {
-    mux_.on_run_start(overlay);
-  }
-  void on_round_begin(std::uint64_t round) override {
-    mux_.on_round_begin(round);
-  }
-  void on_round(net::Context& ctx) override { mux_.on_round(ctx); }
-  void on_message(net::Context& ctx, net::Envelope&& env) override {
-    mux_.on_message(ctx, std::move(env));
-  }
-  void on_run_end() override { mux_.on_run_end(); }
-  [[nodiscard]] bool active() const override { return mux_.active(); }
-
-  [[nodiscard]] bool complete() const { return phase_.complete(); }
-  [[nodiscard]] const T& result() const { return phase_.result(); }
-  [[nodiscard]] std::uint64_t sent_bytes(PeerId p) const {
-    return phase_.sent_bytes(p);
-  }
-
- private:
-  ConvergecastPhase<T> phase_;
-  net::SessionMux mux_;
 };
 
 }  // namespace nf::agg

@@ -20,6 +20,10 @@
 // field model (WireModel::kFlatFields) while still shipping the encoded
 // bytes, or 0 to charge the actual encoded length (kVarintDelta). Both
 // models therefore exercise the same payload path.
+//
+// Standalone runs go through net::run_phase, with
+// net::kStandaloneConvergecast for the convergecasts and
+// net::kStandaloneBroadcast for the multicast.
 #pragma once
 
 #include <atomic>
@@ -437,145 +441,6 @@ class FlatMulticastPhase final : public net::FlatPhase {
   bool has_payload_ = false;
   PeerArena<bool> received_;
   std::atomic<std::uint32_t> num_received_{0};
-};
-
-/// Standalone run-to-completion wrapper: one flat phase, one anonymous
-/// session, opened at every member on the first tick — the drop-in flat
-/// replacement for Convergecast<std::vector<Value>>.
-class FlatAggregateConvergecast final : public net::Protocol {
- public:
-  using LocalFn = FlatAggregateConvergecastPhase::LocalFn;
-
-  FlatAggregateConvergecast(const Hierarchy& hierarchy,
-                            net::TrafficCategory category, std::uint32_t width,
-                            LocalFn local, std::uint64_t flat_bytes,
-                            obs::Context* obs = nullptr)
-      : phase_(hierarchy, category, width, std::move(local), flat_bytes, obs),
-        mux_(obs) {
-    const net::SessionId sid = mux_.add_session();
-    net::PhaseOptions opts;
-    opts.start = net::PhaseStart::kAllPeers;
-    opts.open_on_message = false;
-    mux_.add_phase(sid, phase_, opts);
-  }
-
-  void on_run_start(const net::Overlay& overlay) override {
-    mux_.on_run_start(overlay);
-  }
-  void on_round_begin(std::uint64_t round) override {
-    mux_.on_round_begin(round);
-  }
-  void on_round(net::Context& ctx) override { mux_.on_round(ctx); }
-  void on_message(net::Context& ctx, net::Envelope&& env) override {
-    mux_.on_message(ctx, std::move(env));
-  }
-  void on_run_end() override { mux_.on_run_end(); }
-  [[nodiscard]] bool active() const override { return mux_.active(); }
-
-  [[nodiscard]] bool complete() const { return phase_.complete(); }
-  [[nodiscard]] std::span<const std::uint64_t> result() const {
-    return phase_.result();
-  }
-  [[nodiscard]] std::uint64_t sent_bytes(PeerId p) const {
-    return phase_.sent_bytes(p);
-  }
-
- private:
-  FlatAggregateConvergecastPhase phase_;
-  net::SessionMux mux_;
-};
-
-/// Standalone flat pairs convergecast (candidate aggregation, naive sums).
-class FlatPairsConvergecast final : public net::Protocol {
- public:
-  using Pairs = FlatPairsConvergecastPhase::Pairs;
-  using LocalFn = FlatPairsConvergecastPhase::LocalFn;
-  using WireBytesFn = FlatPairsConvergecastPhase::WireBytesFn;
-
-  FlatPairsConvergecast(const Hierarchy& hierarchy,
-                        net::TrafficCategory category, LocalFn local,
-                        WireBytesFn wire_bytes, obs::Context* obs = nullptr)
-      : phase_(hierarchy, category, std::move(local), std::move(wire_bytes),
-               obs),
-        mux_(obs) {
-    const net::SessionId sid = mux_.add_session();
-    net::PhaseOptions opts;
-    opts.start = net::PhaseStart::kAllPeers;
-    opts.open_on_message = false;
-    mux_.add_phase(sid, phase_, opts);
-  }
-
-  void on_run_start(const net::Overlay& overlay) override {
-    mux_.on_run_start(overlay);
-  }
-  void on_round_begin(std::uint64_t round) override {
-    mux_.on_round_begin(round);
-  }
-  void on_round(net::Context& ctx) override { mux_.on_round(ctx); }
-  void on_message(net::Context& ctx, net::Envelope&& env) override {
-    mux_.on_message(ctx, std::move(env));
-  }
-  void on_run_end() override { mux_.on_run_end(); }
-  [[nodiscard]] bool active() const override { return mux_.active(); }
-
-  [[nodiscard]] bool complete() const { return phase_.complete(); }
-  [[nodiscard]] const Pairs& result() const { return phase_.result(); }
-  [[nodiscard]] std::uint64_t sent_bytes(PeerId p) const {
-    return phase_.sent_bytes(p);
-  }
-
- private:
-  FlatPairsConvergecastPhase phase_;
-  net::SessionMux mux_;
-};
-
-/// Standalone flat multicast with the classic callback shape.
-class FlatMulticast final : public net::Protocol {
- public:
-  /// `on_receive` runs at every member (including the root) exactly once.
-  using ReceiveFn =
-      std::function<void(PeerId, std::span<const std::uint8_t>)>;
-
-  FlatMulticast(const Hierarchy& hierarchy, net::TrafficCategory category,
-                std::span<const std::uint8_t> encoded,
-                std::uint64_t wire_bytes, ReceiveFn on_receive,
-                obs::Context* obs = nullptr)
-      : phase_(
-            hierarchy, category,
-            [fn = std::move(on_receive)](net::PhaseContext& ctx,
-                                         std::span<const std::uint8_t> b) {
-              fn(ctx.self(), b);
-            },
-            obs),
-        mux_(obs) {
-    phase_.set_payload(encoded, wire_bytes);
-    const net::SessionId sid = mux_.add_session();
-    net::PhaseOptions opts;
-    opts.start = net::PhaseStart::kAllPeers;
-    mux_.add_phase(sid, phase_, opts);
-  }
-
-  void on_run_start(const net::Overlay& overlay) override {
-    mux_.on_run_start(overlay);
-  }
-  void on_round_begin(std::uint64_t round) override {
-    mux_.on_round_begin(round);
-  }
-  void on_round(net::Context& ctx) override { mux_.on_round(ctx); }
-  void on_message(net::Context& ctx, net::Envelope&& env) override {
-    mux_.on_message(ctx, std::move(env));
-  }
-  void on_run_end() override { mux_.on_run_end(); }
-  [[nodiscard]] bool active() const override { return mux_.active(); }
-
-  [[nodiscard]] bool complete() const { return phase_.complete(); }
-  [[nodiscard]] std::uint32_t num_received() const {
-    return phase_.num_received();
-  }
-
- private:
-  FlatMulticastPhase phase_;
-  net::SessionMux mux_;
 };
 
 }  // namespace nf::agg

@@ -6,12 +6,13 @@
 // verification; the charged size is the modelled wire size of the payload
 // (sg bytes per heavy group id), not the in-memory size.
 //
-// MulticastPhase is the session-runtime component (net/session.h). Its
+// MulticastPhase is a session-runtime component (net/session.h). Its
 // payload may be set mid-run — the pipelined netFilter only knows the heavy
 // set when the filtering convergecast completes at the root — and each
 // peer's handler fires the moment the copy reaches it, which is exactly the
 // per-peer trigger that lets the next phase start there without a global
-// barrier. Multicast is the classic standalone protocol, now a thin shim.
+// barrier. To run one alone, set the payload up front and pass it to
+// net::run_phase with net::kStandaloneBroadcast.
 #pragma once
 
 #include <atomic>
@@ -34,7 +35,7 @@ namespace nf::agg {
 /// count is a commutative atomic. Typed messages (net::TypedPhase<T>): a
 /// payload type error fails at compile time.
 template <typename T>
-// Legacy object-payload path; flat counterpart: FlatMulticast
+// Legacy object-payload path; flat counterpart: FlatMulticastPhase
 // (agg/flat_phases.h).
 class MulticastPhase final : public net::TypedPhase<T> {  // nf-lint: nf-flat-payload-ok
  public:
@@ -112,55 +113,6 @@ class MulticastPhase final : public net::TypedPhase<T> {  // nf-lint: nf-flat-pa
   bool has_payload_ = false;
   PeerArena<bool> received_;
   std::atomic<std::uint32_t> num_received_{0};
-};
-
-/// Standalone run-to-completion multicast with the classic callback shape;
-/// wraps one MulticastPhase in a single anonymous session.
-template <typename T>
-class Multicast final : public net::Protocol {
- public:
-  /// `on_receive` runs at every member (including the root) exactly once.
-  using ReceiveFn = std::function<void(PeerId, const T&)>;
-
-  Multicast(const Hierarchy& hierarchy, net::TrafficCategory category,
-            T payload, std::uint64_t wire_bytes, ReceiveFn on_receive,
-            obs::Context* obs = nullptr)
-      : phase_(
-            hierarchy, category,
-            [fn = std::move(on_receive)](net::PhaseContext& ctx,
-                                         const T& value) {
-              fn(ctx.self(), value);
-            },
-            obs),
-        mux_(obs) {
-    phase_.set_payload(std::move(payload), wire_bytes);
-    const net::SessionId sid = mux_.add_session();
-    net::PhaseOptions opts;
-    opts.start = net::PhaseStart::kAllPeers;
-    mux_.add_phase(sid, phase_, opts);
-  }
-
-  void on_run_start(const net::Overlay& overlay) override {
-    mux_.on_run_start(overlay);
-  }
-  void on_round_begin(std::uint64_t round) override {
-    mux_.on_round_begin(round);
-  }
-  void on_round(net::Context& ctx) override { mux_.on_round(ctx); }
-  void on_message(net::Context& ctx, net::Envelope&& env) override {
-    mux_.on_message(ctx, std::move(env));
-  }
-  void on_run_end() override { mux_.on_run_end(); }
-  [[nodiscard]] bool active() const override { return mux_.active(); }
-
-  [[nodiscard]] bool complete() const { return phase_.complete(); }
-  [[nodiscard]] std::uint32_t num_received() const {
-    return phase_.num_received();
-  }
-
- private:
-  MulticastPhase<T> phase_;
-  net::SessionMux mux_;
 };
 
 }  // namespace nf::agg

@@ -42,11 +42,6 @@ struct NetFilterConfig {
   net::LinkModel link{};
   /// Engine round budget per protocol phase (safety net, not a tuning knob).
   std::uint64_t max_rounds_per_phase = 100000;
-  /// Run the classic three-engine-run orchestration (one global barrier
-  /// between phases) instead of the pipelined single-run session (the
-  /// default). Results are identical; the barriered path exists as the A/B
-  /// baseline for the round-count comparison benches.
-  bool barriered = false;
   /// Shards/threads for the engines driving each phase (1 = serial). Any
   /// value yields bit-identical results — see net/engine.h.
   std::uint32_t threads = 1;

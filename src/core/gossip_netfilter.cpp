@@ -9,6 +9,7 @@
 #include "common/arena.h"
 #include "common/error.h"
 #include "net/flood.h"
+#include "net/session.h"
 #include "obs/context.h"
 
 namespace nf::core {
@@ -211,10 +212,12 @@ GossipNetFilterResult GossipNetFilter::run(
   const std::uint64_t flood_before =
       meter.total(net::TrafficCategory::kDissemination);
   std::vector<ValueMap<ItemId, double>> partial(num_peers);
-  net::Flood<std::vector<std::vector<bool>>> flood(
+  net::FloodPhase<std::vector<std::vector<bool>>> flood(
       initiator, heavy, heavy_total * config_.wire.group_id_bytes,
       net::TrafficCategory::kDissemination, config_.flood_ttl,
-      [&](PeerId p, const std::vector<std::vector<bool>>& bitmap) {
+      [&](net::PhaseContext& ctx,
+          const std::vector<std::vector<bool>>& bitmap) {
+        const PeerId p = ctx.self();
         if (!overlay.is_alive(p)) return;
         for (const auto& [id, value] : items.local_items(p)) {
           bool passes = true;
@@ -236,7 +239,8 @@ GossipNetFilterResult GossipNetFilter::run(
     engine.set_fault_model(config_.fault);
     engine.set_obs(config_.obs);
     result.stats.rounds +=
-        engine.run(flood, std::uint64_t{config_.flood_ttl} * 4 + 10);
+        net::run_phase(engine, flood, net::kStandaloneBroadcast,
+                       std::uint64_t{config_.flood_ttl} * 4 + 10);
   }
   result.stats.flood_cost =
       static_cast<double>(meter.total(net::TrafficCategory::kDissemination) -

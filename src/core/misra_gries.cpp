@@ -5,6 +5,7 @@
 
 #include "agg/convergecast.h"
 #include "common/error.h"
+#include "net/session.h"
 
 namespace nf::core {
 
@@ -66,7 +67,7 @@ ApproxResult ApproxCollector::run(const ItemSource& items,
   require(threshold >= 1, "threshold must be >= 1");
   const std::uint64_t before = meter.total(net::TrafficCategory::kApprox);
 
-  agg::Convergecast<MisraGries> cast(
+  agg::ConvergecastPhase<MisraGries> cast(
       hierarchy, net::TrafficCategory::kApprox,
       /*local=*/
       [&](PeerId p) {
@@ -80,7 +81,8 @@ ApproxResult ApproxCollector::run(const ItemSource& items,
       [this](const MisraGries& s) { return s.wire_bytes(wire_); });
 
   net::Engine engine(overlay, meter);
-  const std::uint64_t rounds = engine.run(cast, 100000);
+  const std::uint64_t rounds =
+      net::run_phase(engine, cast, net::kStandaloneConvergecast, 100000);
   ensure(cast.complete(), "sketch aggregation did not complete");
 
   const MisraGries& merged = cast.result();

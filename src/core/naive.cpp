@@ -3,6 +3,7 @@
 #include "agg/convergecast.h"
 #include "common/error.h"
 #include "core/host_report.h"
+#include "net/session.h"
 
 namespace nf::core {
 
@@ -15,7 +16,7 @@ NaiveResult NaiveCollector::run(const ItemSource& items,
   const std::uint64_t before = meter.total(net::TrafficCategory::kNaive);
   const EffectiveItems effective(items, hierarchy, overlay, wire_, &meter);
 
-  agg::Convergecast<LocalItems> cast(
+  agg::ConvergecastPhase<LocalItems> cast(
       hierarchy, net::TrafficCategory::kNaive,
       /*local=*/[&](PeerId p) { return effective.local_items(p); },
       /*merge=*/
@@ -27,7 +28,8 @@ NaiveResult NaiveCollector::run(const ItemSource& items,
 
   net::Engine engine(overlay, meter);
   engine.set_fault_model(fault_);
-  const std::uint64_t rounds = engine.run(cast, 100000);
+  const std::uint64_t rounds =
+      net::run_phase(engine, cast, net::kStandaloneConvergecast, 100000);
   ensure(cast.complete(), "naive aggregation did not complete");
 
   NaiveResult result;

@@ -34,8 +34,7 @@ double per_peer(std::uint64_t bytes, std::uint32_t num_peers) {
 // so it and the lumped F1 total are advisory.
 void record_netfilter_conformance(const NetFilterConfig& config,
                                   const NetFilterStats& s,
-                                  std::uint32_t num_peers,
-                                  const agg::Hierarchy* hierarchy) {
+                                  std::uint32_t num_peers) {
   obs::Context* obs = config.obs;
   if (obs == nullptr) return;
   if (config.wire_model != WireModel::kFlatFields) return;
@@ -79,52 +78,6 @@ void record_netfilter_conformance(const NetFilterConfig& config,
                                               fp) *
                        non_root,
                    s.total_cost(), /*gated=*/false);
-
-  // Advisory round-count checks (the queueing cost model): each phase is a
-  // depth-D wave whose front needs transfer_rounds(message, capacity)
-  // rounds per level, gated by the narrowest link of that level. Only the
-  // barriered orchestration pays the phases back to back, so only there is
-  // the per-phase wave model the right predictor; the aggregation message
-  // uses the paper's upper bound, so these stay advisory like F1.total.
-  if (hierarchy != nullptr && config.barriered) {
-    const std::uint32_t height = hierarchy->height();
-    const double depth = height > 0 ? height - 1.0 : 0.0;
-    // Per-level bottleneck: min capacity among the level-d parent links.
-    std::vector<double> min_cap(
-        height, static_cast<double>(net::kInfiniteCapacity));
-    for (std::uint32_t p = 0; p < num_peers; ++p) {
-      const PeerId id(p);
-      if (!hierarchy->is_member(id) || id == hierarchy->root()) continue;
-      const std::uint32_t d = hierarchy->depth(id);
-      const auto cap = static_cast<double>(
-          config.link.capacity(id, hierarchy->upstream(id)));
-      if (cap < min_cap[d]) min_cap[d] = cap;
-    }
-    const auto wave = [&](double message_bytes) {
-      // Σ_d transfer_rounds at the level bottleneck, plus the quiescence
-      // round — phase_rounds specialized to heterogeneous levels.
-      double rounds = 1.0;
-      for (std::uint32_t d = 1; d < height; ++d) {
-        rounds += cost_model::transfer_rounds(message_bytes, min_cap[d]);
-      }
-      return rounds;
-    };
-    const double filt_rounds =
-        wave(config.wire.aggregate_bytes * f * g);
-    const double veri_rounds =
-        wave(config.wire.group_id_bytes * w_total) +
-        wave(static_cast<double>(config.wire.item_value_pair()) * (r + fp));
-    report.set_param("tree_depth", depth);
-    report.add_check("rounds.filtering", filt_rounds,
-                     static_cast<double>(s.rounds_filtering),
-                     /*gated=*/false);
-    report.add_check("rounds.verification", veri_rounds,
-                     static_cast<double>(s.rounds_verification),
-                     /*gated=*/false);
-    report.add_check("rounds.total", filt_rounds + veri_rounds,
-                     static_cast<double>(s.rounds_total),
-                     /*gated=*/false);
-  }
 
   // Per-level split of the two exact terms, accumulated into the link_stats
   // predictions (schema v6): each member at depth d pushes one sa·f·g
@@ -247,7 +200,7 @@ HeavyGroupSet NetFilter::filter_candidates(const ItemSource& items,
           ? std::uint64_t{config_.wire.aggregate_bytes} * f * g
           : 0;
 
-  agg::FlatAggregateConvergecast cast(
+  agg::FlatAggregateConvergecastPhase cast(
       hierarchy, net::TrafficCategory::kFiltering, /*width=*/f * g,
       /*local=*/
       [&](PeerId p, std::span<std::uint64_t> out) {
@@ -261,7 +214,8 @@ HeavyGroupSet NetFilter::filter_candidates(const ItemSource& items,
   engine.set_link_model(config_.link);
   engine.set_obs(config_.obs);
   const std::uint64_t rounds =
-      engine.run(cast, config_.max_rounds_per_phase);
+      net::run_phase(engine, cast, net::kStandaloneConvergecast,
+                     config_.max_rounds_per_phase, config_.obs);
   ensure(cast.complete(), "candidate filtering did not complete");
 
   const std::span<const Value> global = cast.result();
@@ -317,17 +271,18 @@ NetFilterResult NetFilter::verify_candidates(
   partial.configure(items);
   PeerArena<bool> ready(overlay.num_peers(), false);
 
-  agg::FlatMulticast down(
-      hierarchy, net::TrafficCategory::kDissemination, heavy_encoded,
-      dissemination_bytes,
+  agg::FlatMulticastPhase down(
+      hierarchy, net::TrafficCategory::kDissemination,
       /*on_receive=*/
-      [&](PeerId p, std::span<const std::uint8_t> body) {
+      [&](net::PhaseContext& ctx, std::span<const std::uint8_t> body) {
+        const PeerId p = ctx.self();
         const HeavyGroupSet hg = decode_heavy_groups(
             body, config_.num_filters, config_.num_groups);
         partial.materialize(p, items.local_items(p), hg, bank_);
         ready[p] = true;
       },
       config_.obs);
+  down.set_payload(heavy_encoded, dissemination_bytes);
 
   net::Engine engine(overlay, meter);
   engine.set_threads(config_.threads);
@@ -337,19 +292,20 @@ NetFilterResult NetFilter::verify_candidates(
   std::uint64_t down_rounds = 0;
   {
     obs::ScopedPhase phase(config_.obs, "dissemination");
-    down_rounds = engine.run(down, config_.max_rounds_per_phase);
+    down_rounds = net::run_phase(engine, down, net::kStandaloneBroadcast,
+                                 config_.max_rounds_per_phase, config_.obs);
   }
   ensure(down.complete(), "dissemination did not complete");
 
   // kVarintDelta charges the encoded pair list — the slab bytes themselves —
   // so an empty WireBytesFn (charge the wire length) is the exact model.
-  agg::FlatPairsConvergecast::WireBytesFn pair_bytes;
+  agg::FlatPairsConvergecastPhase::WireBytesFn pair_bytes;
   if (config_.wire_model == WireModel::kFlatFields) {
     pair_bytes = [this](const LocalItems& m) {
       return m.size() * config_.wire.item_value_pair();
     };
   }
-  agg::FlatPairsConvergecast up(
+  agg::FlatPairsConvergecastPhase up(
       hierarchy, net::TrafficCategory::kAggregation,
       /*local=*/
       [&](PeerId p) {
@@ -360,7 +316,8 @@ NetFilterResult NetFilter::verify_candidates(
   std::uint64_t up_rounds = 0;
   {
     obs::ScopedPhase phase(config_.obs, "aggregation");
-    up_rounds = engine.run(up, config_.max_rounds_per_phase);
+    up_rounds = net::run_phase(engine, up, net::kStandaloneConvergecast,
+                               config_.max_rounds_per_phase, config_.obs);
   }
   ensure(up.complete(), "candidate aggregation did not complete");
 
@@ -391,21 +348,6 @@ NetFilterResult NetFilter::verify_candidates(
   return result;
 }
 
-NetFilterResult NetFilter::run_barriered(const ItemSource& items,
-                                         const agg::Hierarchy& hierarchy,
-                                         net::Overlay& overlay,
-                                         net::TrafficMeter& meter,
-                                         Value threshold) const {
-  NetFilterStats stats;
-  const HeavyGroupSet heavy = filter_candidates(items, hierarchy, overlay,
-                                                meter, threshold, &stats);
-  NetFilterResult result = verify_candidates(items, hierarchy, overlay, meter,
-                                             threshold, heavy, stats);
-  result.stats.rounds_total =
-      result.stats.rounds_filtering + result.stats.rounds_verification;
-  return result;
-}
-
 NetFilterResult NetFilter::run_pipelined(const ItemSource& items,
                                          const agg::Hierarchy& hierarchy,
                                          net::Overlay& overlay,
@@ -422,8 +364,8 @@ NetFilterResult NetFilter::run_pipelined(const ItemSource& items,
 
   net::SessionMux mux(config_.obs);
   // Unnamed single session: phase spans keep the classic bare names
-  // ("filtering", ...), so trace consumers see the same span set as the
-  // barriered path.
+  // ("filtering", ...), the same span set filter_candidates and
+  // verify_candidates record when run one after the other.
   const net::SessionId sid = mux.add_session();
   IfiSessionPhases ifi(*this, items, hierarchy, threshold);
   (void)ifi.register_phases(mux, sid, net::PhaseStart::kAllPeers);
@@ -513,12 +455,9 @@ NetFilterResult NetFilter::run(const ItemSource& items,
                overlay.num_peers());
 
   NetFilterResult result =
-      config_.barriered
-          ? run_barriered(effective, hierarchy, overlay, meter, threshold)
-          : run_pipelined(effective, hierarchy, overlay, meter, threshold);
+      run_pipelined(effective, hierarchy, overlay, meter, threshold);
   result.stats.host_report_cost = host_report_cost;
-  record_netfilter_conformance(config_, result.stats, overlay.num_peers(),
-                               &hierarchy);
+  record_netfilter_conformance(config_, result.stats, overlay.num_peers());
   return result;
 }
 

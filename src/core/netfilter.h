@@ -93,12 +93,14 @@ struct NetFilterStats {
   double candidates_per_peer = 0.0;        ///< avg <id,value> pairs sent/peer
   std::uint64_t rounds_filtering = 0;
   std::uint64_t rounds_verification = 0;
-  /// Engine rounds for the whole query. Barriered orchestration pays the
-  /// phases back to back (filtering + verification); the pipelined session
-  /// overlaps them, so rounds_total is strictly smaller there — the win the
-  /// fig5 bench reports. In pipelined runs rounds_filtering counts until
-  /// the root completed filtering and rounds_verification is the remainder
-  /// (phase 2 already ran at the leaves during it).
+  /// Engine rounds for the whole query (set by NetFilter::run). The query
+  /// is one pipelined session, so rounds_filtering counts until the root
+  /// completed filtering and rounds_verification is the remainder (phase 2
+  /// already ran at the leaves during it). Running filter_candidates then
+  /// verify_candidates instead pays the phases back to back with global
+  /// barriers between them; they leave rounds_total at 0, and their
+  /// rounds_filtering + rounds_verification is strictly larger than a
+  /// pipelined rounds_total — the win the fig5 bench reports.
   std::uint64_t rounds_total = 0;
 
   // Per-peer average communication cost in bytes (the paper's metric),
@@ -124,17 +126,22 @@ class NetFilter {
  public:
   explicit NetFilter(NetFilterConfig config);
 
-  /// Runs both phases over `hierarchy` and returns the exact frequent-item
-  /// set. `items` must cover every peer of the overlay; traffic is charged
-  /// to `meter`. `threshold` must be >= 1.
+  /// Runs both phases over `hierarchy` as one pipelined session on one
+  /// engine run and returns the exact frequent-item set. `items` must cover
+  /// every peer of the overlay; traffic is charged to `meter`. `threshold`
+  /// must be >= 1.
   [[nodiscard]] NetFilterResult run(const ItemSource& items,
                                     const agg::Hierarchy& hierarchy,
                                     net::Overlay& overlay,
                                     net::TrafficMeter& meter,
                                     Value threshold) const;
 
-  /// Phase 1 only (exposed for tests and extensions): returns the heavy
-  /// group bitmap and fills the filtering stats fields.
+  /// Phase 1 only, on its own engine run (exposed for tests, benches and
+  /// extensions): returns the heavy group bitmap and fills the filtering
+  /// stats fields. Followed by verify_candidates, this is the barriered
+  /// schedule: three engine runs with a global barrier between phases.
+  /// Neither function folds in host reports; pass an EffectiveItems view
+  /// (core/host_report.h) to match what run() computes.
   [[nodiscard]] HeavyGroupSet filter_candidates(const ItemSource& items,
                                                 const agg::Hierarchy& hierarchy,
                                                 net::Overlay& overlay,
@@ -142,8 +149,8 @@ class NetFilter {
                                                 Value threshold,
                                                 NetFilterStats* stats) const;
 
-  /// Phase 2 only: candidate materialization + verification given the
-  /// heavy group bitmap.
+  /// Phase 2 only, on two engine runs (dissemination, then aggregation):
+  /// candidate materialization + verification given the heavy group bitmap.
   [[nodiscard]] NetFilterResult verify_candidates(
       const ItemSource& items, const agg::Hierarchy& hierarchy,
       net::Overlay& overlay, net::TrafficMeter& meter, Value threshold,
@@ -169,18 +176,11 @@ class NetFilter {
   [[nodiscard]] const NetFilterConfig& config() const { return config_; }
 
  private:
-  /// The classic orchestration: three engine runs with global barriers
-  /// between the phases (config.barriered). `items` is the effective
-  /// (host-report-folded) source.
-  [[nodiscard]] NetFilterResult run_barriered(const ItemSource& items,
-                                              const agg::Hierarchy& hierarchy,
-                                              net::Overlay& overlay,
-                                              net::TrafficMeter& meter,
-                                              Value threshold) const;
-
-  /// One session on one engine run (the default): a peer enters phase 2 the
-  /// moment the heavy multicast reaches it — identical result, strictly
-  /// fewer engine rounds (see core/ifi_session.h).
+  /// One session on one engine run: a peer enters phase 2 the moment the
+  /// heavy multicast reaches it — the same result as filter_candidates +
+  /// verify_candidates in strictly fewer engine rounds (see
+  /// core/ifi_session.h). `items` is the effective (host-report-folded)
+  /// source.
   [[nodiscard]] NetFilterResult run_pipelined(const ItemSource& items,
                                               const agg::Hierarchy& hierarchy,
                                               net::Overlay& overlay,
@@ -205,16 +205,10 @@ class NetFilter {
 /// `stats`. Only configurations the closed-form model prices are judged —
 /// flat wire fields on a loss-free network. Public so QueryService can
 /// record one run per multiplexed session from per-session traffic tallies.
-///
-/// When `hierarchy` is given and the run was barriered, the report also
-/// carries advisory `rounds.*` checks: predicted round counts from the
-/// queueing cost model (cost_model::phase_rounds over the per-level
-/// bottleneck link capacities of config.link) vs the measured
-/// rounds_filtering / rounds_verification / rounds_total. Pipelined runs
-/// overlap phases, so the per-phase wave model does not apply there.
+/// Round counts are not judged: the session overlaps the phases, so the
+/// per-phase wave model (cost_model::phase_rounds) does not apply.
 void record_netfilter_conformance(const NetFilterConfig& config,
                                   const NetFilterStats& stats,
-                                  std::uint32_t num_peers,
-                                  const agg::Hierarchy* hierarchy = nullptr);
+                                  std::uint32_t num_peers);
 
 }  // namespace nf::core

@@ -7,6 +7,7 @@
 #include "agg/multicast.h"
 #include "common/arena.h"
 #include "common/error.h"
+#include "net/session.h"
 
 namespace nf::core {
 
@@ -29,6 +30,14 @@ PartitionedResult PartitionedNetFilter::run(
   PartitionedResult result;
   result.stats.threshold = threshold;
 
+  // Every slice engine runs on the configured links, as NetFilter's do.
+  const auto configure = [this](net::Engine& engine) {
+    engine.set_threads(config_.threads);
+    engine.set_fault_model(config_.fault);
+    engine.set_link_model(config_.link);
+    engine.set_obs(config_.obs);
+  };
+
   // Which filters each hierarchy slice owns: filter i -> slice (i mod k).
   std::vector<std::vector<std::uint32_t>> slice_filters(k);
   for (std::uint32_t i = 0; i < f; ++i) {
@@ -44,7 +53,7 @@ PartitionedResult PartitionedNetFilter::run(
     if (filters.empty()) continue;
     const std::uint64_t wire_bytes =
         std::uint64_t{config_.wire.aggregate_bytes} * filters.size() * g;
-    agg::Convergecast<std::vector<Value>> cast(
+    agg::ConvergecastPhase<std::vector<Value>> cast(
         hierarchies.at(s), net::TrafficCategory::kFiltering,
         /*local=*/
         [&](PeerId p) {
@@ -64,9 +73,10 @@ PartitionedResult PartitionedNetFilter::run(
         /*wire_bytes=*/
         [wire_bytes](const std::vector<Value>&) { return wire_bytes; });
     net::Engine engine(overlay, meter);
-    engine.set_threads(config_.threads);
-    engine.set_obs(config_.obs);
-    result.stats.rounds += engine.run(cast, config_.max_rounds_per_phase);
+    configure(engine);
+    result.stats.rounds +=
+        net::run_phase(engine, cast, net::kStandaloneConvergecast,
+                       config_.max_rounds_per_phase);
     ensure(cast.complete(), "partitioned filtering did not complete");
     const auto& sums = cast.result();
     for (std::size_t fi = 0; fi < filters.size(); ++fi) {
@@ -96,14 +106,14 @@ PartitionedResult PartitionedNetFilter::run(
       slice_heavy += static_cast<std::uint64_t>(std::count(
           heavy[fi].begin(), heavy[fi].end(), true));
     }
-    agg::Multicast<std::uint32_t> mc(
-        hierarchies.at(s), net::TrafficCategory::kDissemination, s,
-        slice_heavy * config_.wire.group_id_bytes,
-        [](PeerId, const std::uint32_t&) {});
+    agg::MulticastPhase<std::uint32_t> mc(
+        hierarchies.at(s), net::TrafficCategory::kDissemination,
+        [](net::PhaseContext&, const std::uint32_t&) {});
+    mc.set_payload(s, slice_heavy * config_.wire.group_id_bytes);
     net::Engine engine(overlay, meter);
-    engine.set_threads(config_.threads);
-    engine.set_obs(config_.obs);
-    result.stats.rounds += engine.run(mc, config_.max_rounds_per_phase);
+    configure(engine);
+    result.stats.rounds += net::run_phase(
+        engine, mc, net::kStandaloneBroadcast, config_.max_rounds_per_phase);
     ensure(mc.complete(), "slice dissemination did not complete");
   }
   result.stats.dissemination_cost =
@@ -115,7 +125,7 @@ PartitionedResult PartitionedNetFilter::run(
   const std::uint64_t aggregation_before =
       meter.total(net::TrafficCategory::kAggregation);
   for (std::uint32_t s = 0; s < k; ++s) {
-    agg::Convergecast<LocalItems> cast(
+    agg::ConvergecastPhase<LocalItems> cast(
         hierarchies.at(s), net::TrafficCategory::kAggregation,
         /*local=*/
         [&](PeerId p) {
@@ -135,9 +145,10 @@ PartitionedResult PartitionedNetFilter::run(
           return m.size() * config_.wire.item_value_pair();
         });
     net::Engine engine(overlay, meter);
-    engine.set_threads(config_.threads);
-    engine.set_obs(config_.obs);
-    result.stats.rounds += engine.run(cast, config_.max_rounds_per_phase);
+    configure(engine);
+    result.stats.rounds +=
+        net::run_phase(engine, cast, net::kStandaloneConvergecast,
+                       config_.max_rounds_per_phase);
     ensure(cast.complete(), "partitioned verification did not complete");
     result.stats.num_candidates += cast.result().size();
     for (const auto& [id, v] : cast.result()) {

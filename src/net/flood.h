@@ -8,10 +8,10 @@
 // the payload exactly once while each overlay edge carries it at most
 // twice (once per direction, worst case).
 //
-// FloodPhase is the session-runtime component (net/session.h): the flood
-// can ride one phase of a multiplexed session (e.g. a query announcement)
-// while other sessions run concurrently. Flood is the classic standalone
-// protocol, now a thin shim wrapping one phase in an anonymous session.
+// FloodPhase and FlatFloodPhase are session-runtime components
+// (net/session.h): a flood can ride one phase of a multiplexed session
+// (e.g. a query announcement) while other sessions run concurrently. To
+// run one alone, pass it to net::run_phase with kStandaloneBroadcast.
 #pragma once
 
 #include <atomic>
@@ -69,8 +69,9 @@ class FloodPhase final  // nf-lint: nf-flat-payload-ok
   }
 
   [[nodiscard]] bool done() const override {
-    // Flood has no natural completion signal a peer could observe; once the
-    // originator has fired, the engine drains in-flight copies and stops.
+    // A flood has no natural completion signal a peer could observe; once
+    // the originator has fired, the engine drains in-flight copies and
+    // stops.
     return num_reached() > 0;
   }
 
@@ -124,51 +125,6 @@ class FloodPhase final  // nf-lint: nf-flat-payload-ok
   std::atomic<std::uint64_t> num_copies_{0};
 };
 
-/// Standalone run-to-completion flood with the classic callback shape.
-template <typename T>
-class Flood final : public Protocol {
- public:
-  using ReceiveFn = std::function<void(PeerId, const T&)>;
-
-  Flood(PeerId originator, T payload, std::uint64_t wire_bytes,
-        TrafficCategory category, std::uint32_t ttl, ReceiveFn on_receive)
-      : phase_(originator, std::move(payload), wire_bytes, category, ttl,
-               [fn = std::move(on_receive)](PhaseContext& ctx,
-                                            const T& value) {
-                 fn(ctx.self(), value);
-               }) {
-    const SessionId sid = mux_.add_session();
-    PhaseOptions opts;
-    opts.start = PhaseStart::kAllPeers;
-    mux_.add_phase(sid, phase_, opts);
-  }
-
-  void on_run_start(const Overlay& overlay) override {
-    mux_.on_run_start(overlay);
-  }
-  void on_round_begin(std::uint64_t round) override {
-    mux_.on_round_begin(round);
-  }
-  void on_round(Context& ctx) override { mux_.on_round(ctx); }
-  void on_message(Context& ctx, Envelope&& env) override {
-    mux_.on_message(ctx, std::move(env));
-  }
-  void on_run_end() override { mux_.on_run_end(); }
-  [[nodiscard]] bool active() const override { return mux_.active(); }
-
-  [[nodiscard]] std::uint32_t num_reached() const {
-    return phase_.num_reached();
-  }
-  [[nodiscard]] std::uint64_t num_copies() const {
-    return phase_.num_copies();
-  }
-  [[nodiscard]] bool reached(PeerId p) const { return phase_.reached(p); }
-
- private:
-  FloodPhase<T> phase_;
-  SessionMux mux_;
-};
-
 /// Flat slab-backed flood: the wire format is varint(remaining ttl)
 /// followed by the opaque payload bytes. The originator installs the
 /// encoded payload once; every forward is a varint prepend plus a span copy
@@ -207,8 +163,9 @@ class FlatFloodPhase final : public FlatPhase {
   }
 
   [[nodiscard]] bool done() const override {
-    // Flood has no natural completion signal a peer could observe; once the
-    // originator has fired, the engine drains in-flight copies and stops.
+    // A flood has no natural completion signal a peer could observe; once
+    // the originator has fired, the engine drains in-flight copies and
+    // stops.
     return num_reached() > 0;
   }
 
@@ -264,51 +221,6 @@ class FlatFloodPhase final : public FlatPhase {
   PeerArena<bool> seen_;
   std::atomic<std::uint32_t> num_reached_{0};
   std::atomic<std::uint64_t> num_copies_{0};
-};
-
-/// Standalone run-to-completion flat flood.
-class FlatFlood final : public Protocol {
- public:
-  using ReceiveFn =
-      std::function<void(PeerId, std::span<const std::uint8_t>)>;
-
-  FlatFlood(PeerId originator, Bytes payload, std::uint64_t wire_bytes,
-            TrafficCategory category, std::uint32_t ttl, ReceiveFn on_receive)
-      : phase_(originator, std::move(payload), wire_bytes, category, ttl,
-               [fn = std::move(on_receive)](
-                   PhaseContext& ctx, std::span<const std::uint8_t> body) {
-                 fn(ctx.self(), body);
-               }) {
-    const SessionId sid = mux_.add_session();
-    PhaseOptions opts;
-    opts.start = PhaseStart::kAllPeers;
-    mux_.add_phase(sid, phase_, opts);
-  }
-
-  void on_run_start(const Overlay& overlay) override {
-    mux_.on_run_start(overlay);
-  }
-  void on_round_begin(std::uint64_t round) override {
-    mux_.on_round_begin(round);
-  }
-  void on_round(Context& ctx) override { mux_.on_round(ctx); }
-  void on_message(Context& ctx, Envelope&& env) override {
-    mux_.on_message(ctx, std::move(env));
-  }
-  void on_run_end() override { mux_.on_run_end(); }
-  [[nodiscard]] bool active() const override { return mux_.active(); }
-
-  [[nodiscard]] std::uint32_t num_reached() const {
-    return phase_.num_reached();
-  }
-  [[nodiscard]] std::uint64_t num_copies() const {
-    return phase_.num_copies();
-  }
-  [[nodiscard]] bool reached(PeerId p) const { return phase_.reached(p); }
-
- private:
-  FlatFloodPhase phase_;
-  SessionMux mux_;
 };
 
 }  // namespace nf::net

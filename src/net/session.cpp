@@ -286,4 +286,11 @@ void SessionMux::flush_obs_counters() {
   }
 }
 
+std::uint64_t run_phase(Engine& engine, Phase& phase, PhaseOptions options,
+                        std::uint64_t max_rounds, obs::Context* obs) {
+  SessionMux mux(obs);
+  mux.add_phase(mux.add_session(), phase, options);
+  return engine.run(mux, max_rounds);
+}
+
 }  // namespace nf::net

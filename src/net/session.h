@@ -3,14 +3,14 @@
 //
 // A *session* is one logical protocol execution — e.g. one IFI query — made
 // of an ordered list of *phases* (convergecast up, multicast down, ...).
-// Classic orchestration runs each phase as its own Protocol on its own
-// Engine::run, which inserts a global barrier between phases: no peer may
-// enter phase k+1 until every peer finished phase k. The SessionMux removes
-// that barrier. It is a single net::Protocol that routes envelopes by their
-// (session, phase) tags to Phase components, and phases open *per peer*: a
-// peer transitions the moment its own trigger arrives (a completed subtree,
-// a multicast reaching it), so independent subtrees pipeline freely and N
-// sessions share one engine run.
+// Running phases one at a time (run_phase below: one engine run each)
+// inserts a global barrier between them: no peer may enter phase k+1 until
+// every peer finished phase k. The SessionMux removes that barrier. It is
+// a single net::Protocol that routes envelopes by their (session, phase)
+// tags to Phase components, and phases open *per peer*: a peer transitions
+// the moment its own trigger arrives (a completed subtree, a multicast
+// reaching it), so independent subtrees pipeline freely and N sessions
+// share one engine run.
 //
 // Phase lifecycle at one peer: closed -> open (on_start fires exactly once)
 // -> handling on_message/on_round callbacks. Opening happens through one of
@@ -355,5 +355,20 @@ class SessionMux final : public Protocol {
   std::vector<std::unique_ptr<SessionSlot>> sessions_;
   std::uint64_t rounds_seen_ = 0;  ///< on_round_begin calls this run
 };
+
+/// Options for a phase run alone: it opens at every alive peer on the first
+/// tick. A convergecast also buffers child messages that arrive before its
+/// own contribution exists; a broadcast (multicast, flood) opens on receipt.
+inline constexpr PhaseOptions kStandaloneConvergecast{
+    PhaseStart::kAllPeers, /*open_on_message=*/false};
+inline constexpr PhaseOptions kStandaloneBroadcast{PhaseStart::kAllPeers};
+
+/// Runs `phase` alone to completion: one anonymous session on a mux built
+/// with `obs`, driven by one engine run of at most `max_rounds` rounds.
+/// Returns the rounds executed; read complete()/result() from the phase.
+NF_ENGINE_THREAD std::uint64_t run_phase(Engine& engine, Phase& phase,
+                                         PhaseOptions options,
+                                         std::uint64_t max_rounds,
+                                         obs::Context* obs = nullptr);
 
 }  // namespace nf::net

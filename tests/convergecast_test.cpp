@@ -11,7 +11,9 @@ namespace nf::agg {
 namespace {
 
 using net::Engine;
+using net::kStandaloneConvergecast;
 using net::Overlay;
+using net::run_phase;
 using net::Topology;
 using net::TrafficCategory;
 using net::TrafficMeter;
@@ -37,26 +39,27 @@ Topology line(std::uint32_t n) {
 
 TEST(ConvergecastTest, SumsScalarsOverLine) {
   Fixture fx(line(5));
-  Convergecast<std::uint64_t> cast(
+  ConvergecastPhase<std::uint64_t> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId p) { return std::uint64_t{p.value() + 1}; },  // 1..5
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   Engine engine(fx.overlay, fx.meter);
-  engine.run(cast, 100);
+  run_phase(engine, cast, kStandaloneConvergecast, 100);
   ASSERT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), 15u);
 }
 
 TEST(ConvergecastTest, CompletesInHeightRounds) {
   Fixture fx(line(8));  // height 8
-  Convergecast<std::uint64_t> cast(
+  ConvergecastPhase<std::uint64_t> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   Engine engine(fx.overlay, fx.meter);
-  const std::uint64_t rounds = engine.run(cast, 100);
+  const std::uint64_t rounds =
+      run_phase(engine, cast, kStandaloneConvergecast, 100);
   EXPECT_EQ(cast.result(), 8u);
   // One level per round plus the final quiescence checks.
   EXPECT_LE(rounds, fx.hierarchy.height() + 2);
@@ -65,13 +68,13 @@ TEST(ConvergecastTest, CompletesInHeightRounds) {
 TEST(ConvergecastTest, OneMessagePerNonRootMember) {
   Rng rng(4);
   Fixture fx(net::random_tree(100, 3, rng));
-  Convergecast<std::uint64_t> cast(
+  ConvergecastPhase<std::uint64_t> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   Engine engine(fx.overlay, fx.meter);
-  engine.run(cast, 200);
+  run_phase(engine, cast, kStandaloneConvergecast, 200);
   EXPECT_EQ(cast.result(), 100u);
   EXPECT_EQ(fx.meter.num_messages(), 99u);
   EXPECT_EQ(fx.meter.total(TrafficCategory::kFiltering), 99u * 4);
@@ -82,7 +85,7 @@ TEST(ConvergecastTest, OneMessagePerNonRootMember) {
 TEST(ConvergecastTest, VectorAggregatesAddElementwise) {
   Rng rng(5);
   Fixture fx(net::random_tree(50, 3, rng));
-  Convergecast<std::vector<std::uint64_t>> cast(
+  ConvergecastPhase<std::vector<std::uint64_t>> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId p) {
         return std::vector<std::uint64_t>{1, p.value(), 2 * p.value()};
@@ -92,7 +95,7 @@ TEST(ConvergecastTest, VectorAggregatesAddElementwise) {
       },
       [](const std::vector<std::uint64_t>& v) { return 4 * v.size(); });
   Engine engine(fx.overlay, fx.meter);
-  engine.run(cast, 200);
+  run_phase(engine, cast, kStandaloneConvergecast, 200);
   ASSERT_TRUE(cast.complete());
   const std::uint64_t sum_ids = 50 * 49 / 2;
   EXPECT_EQ(cast.result()[0], 50u);
@@ -113,25 +116,25 @@ TEST(ConvergecastTest, ValueMapMergeMatchesGroundTruth) {
   ValueMap<ItemId, std::uint64_t> truth;
   for (std::uint32_t p = 0; p < 64; ++p) truth.merge_add(local(PeerId(p)));
 
-  Convergecast<ValueMap<ItemId, std::uint64_t>> cast(
+  ConvergecastPhase<ValueMap<ItemId, std::uint64_t>> cast(
       fx.hierarchy, TrafficCategory::kAggregation, local,
       [](auto& a, auto&& b) { a.merge_add(b); },
       [](const auto& m) { return 8 * m.size(); });
   Engine engine(fx.overlay, fx.meter);
-  engine.run(cast, 200);
+  run_phase(engine, cast, kStandaloneConvergecast, 200);
   ASSERT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), truth);
 }
 
 TEST(ConvergecastTest, SingletonHierarchyCompletesWithoutTraffic) {
   Fixture fx{Topology(1)};
-  Convergecast<std::uint64_t> cast(
+  ConvergecastPhase<std::uint64_t> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId) { return std::uint64_t{42}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   Engine engine(fx.overlay, fx.meter);
-  engine.run(cast, 10);
+  run_phase(engine, cast, kStandaloneConvergecast, 10);
   ASSERT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), 42u);
   EXPECT_EQ(fx.meter.total(), 0u);
@@ -139,7 +142,7 @@ TEST(ConvergecastTest, SingletonHierarchyCompletesWithoutTraffic) {
 
 TEST(ConvergecastTest, ResultBeforeCompletionThrows) {
   Fixture fx(line(3));
-  Convergecast<std::uint64_t> cast(
+  ConvergecastPhase<std::uint64_t> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
@@ -154,13 +157,13 @@ TEST_P(ConvergecastTopologyTest, SumIsExactOnArbitraryGraphs) {
   const auto [n, seed] = GetParam();
   Rng rng(seed);
   Fixture fx(net::random_connected(n, 4.0, rng));
-  Convergecast<std::uint64_t> cast(
+  ConvergecastPhase<std::uint64_t> cast(
       fx.hierarchy, TrafficCategory::kFiltering,
       [](PeerId p) { return std::uint64_t{p.value()} * 3 + 1; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   Engine engine(fx.overlay, fx.meter);
-  engine.run(cast, 1000);
+  run_phase(engine, cast, kStandaloneConvergecast, 1000);
   ASSERT_TRUE(cast.complete());
   std::uint64_t expect = 0;
   for (std::uint32_t p = 0; p < n; ++p) expect += std::uint64_t{p} * 3 + 1;

@@ -20,11 +20,13 @@
 #include "agg/hierarchy.h"
 #include "agg/multi_hierarchy.h"
 #include "core/gossip_netfilter.h"
+#include "core/host_report.h"
 #include "core/netfilter.h"
 #include "core/partitioned.h"
 #include "core/query_service.h"
 #include "core/tuner.h"
 #include "net/engine.h"
+#include "net/session.h"
 #include "net/topology.h"
 #include "obs/context.h"
 #include "obs/export.h"
@@ -96,7 +98,7 @@ RunTrace run_convergecast(const TestWorld& world, std::uint32_t threads,
                              static_cast<int>(env.category), env.bytes);
   });
 
-  agg::Convergecast<std::vector<Value>> cast(
+  agg::ConvergecastPhase<std::vector<Value>> cast(
       world.hierarchy, TrafficCategory::kFiltering,
       [&](PeerId p) {
         return nf.local_group_aggregates(world.workload.local_items(p));
@@ -105,7 +107,8 @@ RunTrace run_convergecast(const TestWorld& world, std::uint32_t threads,
         for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += child[i];
       },
       [](const std::vector<Value>&) { return std::uint64_t{128}; });
-  trace.rounds = engine.run(cast, 5000);
+  trace.rounds =
+      net::run_phase(engine, cast, net::kStandaloneConvergecast, 5000);
   EXPECT_TRUE(cast.complete());
   trace.result = cast.result();
   for (std::size_t c = 0; c < net::kNumTrafficCategories; ++c) {
@@ -208,13 +211,13 @@ TEST(DeterminismTest, FlatPayloadBytesAreBitIdenticalAcrossShardCounts) {
       trace.payloads.emplace_back(bytes.begin(), bytes.end());
     });
 
-    agg::FlatAggregateConvergecast cast(
+    agg::FlatAggregateConvergecastPhase cast(
         world.hierarchy, TrafficCategory::kFiltering, kWidth,
         [&](PeerId p, std::span<Value> out) {
           nf.local_group_aggregates_into(world.workload.local_items(p), out);
         },
         /*flat_bytes=*/0);
-    engine.run(cast, 5000);
+    net::run_phase(engine, cast, net::kStandaloneConvergecast, 5000);
     EXPECT_TRUE(cast.complete());
     const std::span<const Value> result = cast.result();
     trace.result.assign(result.begin(), result.end());
@@ -446,19 +449,38 @@ TEST(DeterminismTest, InfiniteCapacityLinkModelIsInvisible) {
 }
 
 // The pipelined session runtime must be a pure orchestration change: byte
-// for byte the same answer and phase costs as the barriered three-run
-// netFilter, in strictly fewer engine rounds — serial and sharded alike.
+// for byte the same answer and phase costs as the barriered schedule
+// (filter_candidates then verify_candidates, three engine runs), in
+// strictly fewer engine rounds — serial and sharded alike.
 TEST(DeterminismTest, PipelinedNetFilterMatchesBarrieredInFewerRounds) {
   const TestWorld world = TestWorld::make();
   const Value t = world.workload.threshold_for(0.01);
-
-  const auto run_at = [&](std::uint32_t threads, bool barriered) {
+  const auto make_nf = [](std::uint32_t threads) {
     core::NetFilterConfig cfg;
     cfg.num_groups = 40;
     cfg.num_filters = 2;
     cfg.threads = threads;
-    cfg.barriered = barriered;
-    const core::NetFilter nf(cfg);
+    return core::NetFilter(cfg);
+  };
+
+  const auto run_back_to_back = [&] {
+    const core::NetFilter nf = make_nf(1);
+    TrafficMeter meter(kPeers);
+    Overlay overlay = world.overlay;
+    // The same host-report-folded view NetFilter::run builds.
+    const core::EffectiveItems items(world.workload, world.hierarchy,
+                                     overlay, nf.config().wire, &meter);
+    core::NetFilterStats stats;
+    const core::HeavyGroupSet heavy = nf.filter_candidates(
+        items, world.hierarchy, overlay, meter, t, &stats);
+    core::NetFilterResult r = nf.verify_candidates(
+        items, world.hierarchy, overlay, meter, t, heavy, stats);
+    r.stats.rounds_total =
+        r.stats.rounds_filtering + r.stats.rounds_verification;
+    return std::make_tuple(std::move(r), meter.total(), meter.num_messages());
+  };
+  const auto run_pipelined = [&](std::uint32_t threads) {
+    const core::NetFilter nf = make_nf(threads);
     TrafficMeter meter(kPeers);
     Overlay overlay = world.overlay;
     core::NetFilterResult r =
@@ -466,10 +488,10 @@ TEST(DeterminismTest, PipelinedNetFilterMatchesBarrieredInFewerRounds) {
     return std::make_tuple(std::move(r), meter.total(), meter.num_messages());
   };
 
-  const auto [barriered, b_bytes, b_msgs] = run_at(1, true);
+  const auto [barriered, b_bytes, b_msgs] = run_back_to_back();
   for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    const auto [pipelined, p_bytes, p_msgs] = run_at(threads, false);
+    const auto [pipelined, p_bytes, p_msgs] = run_pipelined(threads);
     // Loss-free, the message set is identical — only the schedule differs.
     EXPECT_EQ(b_bytes, p_bytes);
     EXPECT_EQ(b_msgs, p_msgs);

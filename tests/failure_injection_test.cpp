@@ -8,6 +8,7 @@
 
 #include "agg/convergecast.h"
 #include "core/netfilter.h"
+#include "net/session.h"
 #include "net/topology.h"
 #include "workload/workload.h"
 
@@ -34,15 +35,17 @@ TEST(FailureInjectionTest, ConvergecastNeverCompletesAcrossADeadRelay) {
   Overlay overlay(line(6));
   TrafficMeter meter(6);
   const Hierarchy h = build_bfs_hierarchy(overlay, PeerId(0));
-  agg::Convergecast<std::uint64_t> cast(
+  agg::ConvergecastPhase<std::uint64_t> cast(
       h, net::TrafficCategory::kFiltering,
       [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
+  net::SessionMux mux;
+  mux.add_phase(mux.add_session(), cast, net::kStandaloneConvergecast);
   Engine engine(overlay, meter);
   ChurnSchedule churn;
   churn.fail_at(1, PeerId(3));  // relay dies while the wave passes
-  engine.run(cast, 50, &churn);
+  engine.run(mux, 50, &churn);
   // The pass must NOT complete with a partial sum; it reports incomplete.
   EXPECT_FALSE(cast.complete());
   EXPECT_THROW((void)cast.result(), InvalidArgument);
@@ -52,17 +55,19 @@ TEST(FailureInjectionTest, LateLeafFailureAfterSendingIsHarmless) {
   Overlay overlay(line(4));
   TrafficMeter meter(4);
   const Hierarchy h = build_bfs_hierarchy(overlay, PeerId(0));
-  agg::Convergecast<std::uint64_t> cast(
+  agg::ConvergecastPhase<std::uint64_t> cast(
       h, net::TrafficCategory::kFiltering,
       [](PeerId p) { return std::uint64_t{p.value() + 1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
+  net::SessionMux mux;
+  mux.add_phase(mux.add_session(), cast, net::kStandaloneConvergecast);
   Engine engine(overlay, meter);
   ChurnSchedule churn;
   // The leaf (peer 3) sends during round 0; its message is in flight and
   // still delivered. Failing it afterwards changes nothing.
   churn.fail_at(2, PeerId(3));
-  engine.run(cast, 50, &churn);
+  engine.run(mux, 50, &churn);
   ASSERT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), 1u + 2u + 3u + 4u);
 }

@@ -3,6 +3,7 @@
 
 #include "agg/convergecast.h"
 #include "core/netfilter.h"
+#include "net/session.h"
 #include "net/topology.h"
 #include "workload/workload.h"
 
@@ -31,11 +32,11 @@ TEST(FaultModelTest, ZeroLossKeepsExactByteAccounting) {
   TrafficMeter meter(5);
   Engine engine(overlay, meter);
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
-  agg::Convergecast<std::uint64_t> cast(
+  agg::ConvergecastPhase<std::uint64_t> cast(
       h, TrafficCategory::kFiltering, [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
-  engine.run(cast, 100);
+  run_phase(engine, cast, kStandaloneConvergecast, 100);
   EXPECT_EQ(cast.result(), 5u);
   EXPECT_EQ(meter.total(), 4u * 4);  // 4 messages, nothing else
   EXPECT_EQ(engine.retransmissions(), 0u);
@@ -49,12 +50,12 @@ TEST(FaultModelTest, ConvergecastSurvivesHeavyLoss) {
   Engine engine(overlay, meter);
   engine.set_fault_model(lossy(0.3));
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
-  agg::Convergecast<std::uint64_t> cast(
+  agg::ConvergecastPhase<std::uint64_t> cast(
       h, TrafficCategory::kFiltering,
       [](PeerId p) { return std::uint64_t{p.value()} + 1; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
-  engine.run(cast, 2000);
+  run_phase(engine, cast, kStandaloneConvergecast, 2000);
   ASSERT_TRUE(cast.complete());
   std::uint64_t expect = 0;
   for (std::uint32_t p = 0; p < 60; ++p) expect += p + 1;
@@ -86,7 +87,7 @@ TEST(FaultModelTest, NetFilterStaysExactOverLossyLinks) {
   engine.set_fault_model(lossy(0.2));
   // filter_candidates/verify_candidates construct internal engines; to
   // exercise loss end-to-end use the building blocks directly instead.
-  agg::Convergecast<std::vector<Value>> phase1(
+  agg::ConvergecastPhase<std::vector<Value>> phase1(
       h, TrafficCategory::kFiltering,
       [&](PeerId p) {
         return nf.local_group_aggregates(workload.local_items(p));
@@ -95,7 +96,7 @@ TEST(FaultModelTest, NetFilterStaysExactOverLossyLinks) {
         for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
       },
       [](const std::vector<Value>&) { return std::uint64_t{256}; });
-  engine.run(phase1, 5000);
+  run_phase(engine, phase1, kStandaloneConvergecast, 5000);
   ASSERT_TRUE(phase1.complete());
 
   core::HeavyGroupSet heavy;
@@ -105,14 +106,14 @@ TEST(FaultModelTest, NetFilterStaysExactOverLossyLinks) {
       heavy.heavy[i][j] = phase1.result()[i * 32 + j] >= t;
     }
   }
-  agg::Convergecast<LocalItems> phase2(
+  agg::ConvergecastPhase<LocalItems> phase2(
       h, TrafficCategory::kAggregation,
       [&](PeerId p) {
         return nf.materialize_candidates(workload.local_items(p), heavy);
       },
       [](LocalItems& a, LocalItems&& b) { a.merge_add(b); },
       [](const LocalItems& m) { return m.size() * 8; });
-  engine.run(phase2, 5000);
+  run_phase(engine, phase2, kStandaloneConvergecast, 5000);
   ASSERT_TRUE(phase2.complete());
   LocalItems frequent = phase2.result();
   frequent.retain([&](ItemId, Value v) { return v >= t; });
@@ -127,12 +128,13 @@ TEST(FaultModelTest, LossCostsBytesAndRounds) {
     Engine engine(overlay, meter);
     if (p > 0) engine.set_fault_model(lossy(p));
     const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
-    agg::Convergecast<std::uint64_t> cast(
+    agg::ConvergecastPhase<std::uint64_t> cast(
         h, TrafficCategory::kFiltering,
         [](PeerId) { return std::uint64_t{1}; },
         [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
         [](const std::uint64_t&) { return std::uint64_t{100}; });
-    const std::uint64_t rounds = engine.run(cast, 5000);
+    const std::uint64_t rounds =
+        run_phase(engine, cast, kStandaloneConvergecast, 5000);
     EXPECT_TRUE(cast.complete());
     return std::pair<std::uint64_t, std::uint64_t>(meter.total(), rounds);
   };
@@ -177,12 +179,12 @@ TEST(FaultModelTest, DeterministicForSeed) {
     Engine engine(overlay, meter);
     engine.set_fault_model(lossy(0.2, 99));
     const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
-    agg::Convergecast<std::uint64_t> cast(
+    agg::ConvergecastPhase<std::uint64_t> cast(
         h, TrafficCategory::kFiltering,
         [](PeerId) { return std::uint64_t{1}; },
         [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
         [](const std::uint64_t&) { return std::uint64_t{4}; });
-    engine.run(cast, 5000);
+    run_phase(engine, cast, kStandaloneConvergecast, 5000);
     return std::tuple(meter.total(), engine.retransmissions(),
                       engine.lost_transmissions());
   };

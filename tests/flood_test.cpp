@@ -18,14 +18,14 @@ TEST(FloodTest, ReachesEveryAlivePeerExactlyOnce) {
   Overlay overlay = make_overlay(100, 1);
   TrafficMeter meter(100);
   std::vector<int> deliveries(100, 0);
-  Flood<std::string> flood(PeerId(7), "hello", 8,
-                           TrafficCategory::kDissemination, 64,
-                           [&](PeerId p, const std::string& s) {
-                             EXPECT_EQ(s, "hello");
-                             ++deliveries[p.value()];
-                           });
+  FloodPhase<std::string> flood(PeerId(7), "hello", 8,
+                                TrafficCategory::kDissemination, 64,
+                                [&](PhaseContext& ctx, const std::string& s) {
+                                  EXPECT_EQ(s, "hello");
+                                  ++deliveries[ctx.self().value()];
+                                });
   Engine engine(overlay, meter);
-  engine.run(flood, 200);
+  run_phase(engine, flood, kStandaloneBroadcast, 200);
   EXPECT_EQ(flood.num_reached(), 100u);
   for (int d : deliveries) EXPECT_EQ(d, 1);
 }
@@ -33,10 +33,10 @@ TEST(FloodTest, ReachesEveryAlivePeerExactlyOnce) {
 TEST(FloodTest, DuplicatesAreCountedButSuppressed) {
   Overlay overlay = make_overlay(50, 2);
   TrafficMeter meter(50);
-  Flood<int> flood(PeerId(0), 1, 4, TrafficCategory::kDissemination, 64,
-                   [](PeerId, const int&) {});
+  FloodPhase<int> flood(PeerId(0), 1, 4, TrafficCategory::kDissemination, 64,
+                        [](PhaseContext&, const int&) {});
   Engine engine(overlay, meter);
-  engine.run(flood, 200);
+  run_phase(engine, flood, kStandaloneBroadcast, 200);
   EXPECT_EQ(flood.num_reached(), 50u);
   // A flood on a graph with cycles necessarily sees duplicates.
   EXPECT_GT(flood.num_copies(), 49u);
@@ -50,10 +50,10 @@ TEST(FloodTest, TtlLimitsPropagation) {
   }
   Overlay overlay(std::move(t));
   TrafficMeter meter(10);
-  Flood<int> flood(PeerId(0), 1, 4, TrafficCategory::kDissemination, 3,
-                   [](PeerId, const int&) {});
+  FloodPhase<int> flood(PeerId(0), 1, 4, TrafficCategory::kDissemination, 3,
+                        [](PhaseContext&, const int&) {});
   Engine engine(overlay, meter);
-  engine.run(flood, 100);
+  run_phase(engine, flood, kStandaloneBroadcast, 100);
   EXPECT_EQ(flood.num_reached(), 4u);
   EXPECT_TRUE(flood.reached(PeerId(3)));
   EXPECT_FALSE(flood.reached(PeerId(4)));
@@ -67,10 +67,10 @@ TEST(FloodTest, DeadPeersBlockButDoNotCrash) {
   Overlay overlay(std::move(t));
   overlay.fail(PeerId(2));
   TrafficMeter meter(5);
-  Flood<int> flood(PeerId(0), 1, 4, TrafficCategory::kDissemination, 10,
-                   [](PeerId, const int&) {});
+  FloodPhase<int> flood(PeerId(0), 1, 4, TrafficCategory::kDissemination, 10,
+                        [](PhaseContext&, const int&) {});
   Engine engine(overlay, meter);
-  engine.run(flood, 100);
+  run_phase(engine, flood, kStandaloneBroadcast, 100);
   EXPECT_EQ(flood.num_reached(), 2u);  // 0 and 1; 2 is dead, 3-4 unreachable
 }
 
@@ -80,17 +80,18 @@ TEST(FloodTest, BytesChargedPerForwardedCopy) {
   t.add_edge(PeerId(1), PeerId(2));
   Overlay overlay(std::move(t));
   TrafficMeter meter(3);
-  Flood<int> flood(PeerId(0), 1, 16, TrafficCategory::kDissemination, 10,
-                   [](PeerId, const int&) {});
+  FloodPhase<int> flood(PeerId(0), 1, 16, TrafficCategory::kDissemination, 10,
+                        [](PhaseContext&, const int&) {});
   Engine engine(overlay, meter);
-  engine.run(flood, 100);
+  run_phase(engine, flood, kStandaloneBroadcast, 100);
   // 0 -> 1, then 1 -> 2 (not back to 0): two copies of 16 bytes.
   EXPECT_EQ(meter.total(TrafficCategory::kDissemination), 32u);
 }
 
 TEST(FloodTest, InvalidTtlThrows) {
-  EXPECT_THROW(Flood<int>(PeerId(0), 1, 4, TrafficCategory::kDissemination,
-                          0, [](PeerId, const int&) {}),
+  EXPECT_THROW(FloodPhase<int>(PeerId(0), 1, 4,
+                               TrafficCategory::kDissemination, 0,
+                               [](PhaseContext&, const int&) {}),
                InvalidArgument);
 }
 

@@ -3,6 +3,7 @@
 
 #include "agg/convergecast.h"
 #include "core/netfilter.h"
+#include "net/session.h"
 #include "net/topology.h"
 #include "workload/workload.h"
 
@@ -40,11 +41,12 @@ TEST(LatencyModelTest, UnitModelChangesNothing) {
   Engine engine(overlay, meter);
   engine.set_link_model(LinkModel{});  // (1,1)
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
-  agg::Convergecast<std::uint64_t> cast(
+  agg::ConvergecastPhase<std::uint64_t> cast(
       h, TrafficCategory::kFiltering, [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
-  const std::uint64_t rounds = engine.run(cast, 100);
+  const std::uint64_t rounds =
+      run_phase(engine, cast, kStandaloneConvergecast, 100);
   EXPECT_EQ(cast.result(), 5u);
   EXPECT_LE(rounds, 7u);
 }
@@ -57,12 +59,13 @@ TEST(LatencyModelTest, SlowLinksStretchCompletionNotCorrectness) {
     Engine engine(overlay, meter);
     engine.set_link_model(slow_links(1, max_delay));
     const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
-    agg::Convergecast<std::uint64_t> cast(
+    agg::ConvergecastPhase<std::uint64_t> cast(
         h, TrafficCategory::kFiltering,
         [](PeerId p) { return std::uint64_t{p.value()} + 1; },
         [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
         [](const std::uint64_t&) { return std::uint64_t{4}; });
-    const std::uint64_t rounds = engine.run(cast, 5000);
+    const std::uint64_t rounds =
+        run_phase(engine, cast, kStandaloneConvergecast, 5000);
     EXPECT_TRUE(cast.complete());
     std::uint64_t expect = 0;
     for (std::uint32_t p = 0; p < 50; ++p) expect += p + 1;
@@ -84,11 +87,12 @@ TEST(LatencyModelTest, FixedDelayLineIsExactlyPredictable) {
   Engine engine(overlay, meter);
   engine.set_link_model(slow_links(3, 3));
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
-  agg::Convergecast<std::uint64_t> cast(
+  agg::ConvergecastPhase<std::uint64_t> cast(
       h, TrafficCategory::kFiltering, [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
-  const std::uint64_t rounds = engine.run(cast, 100);
+  const std::uint64_t rounds =
+      run_phase(engine, cast, kStandaloneConvergecast, 100);
   EXPECT_EQ(cast.result(), 4u);
   EXPECT_GE(rounds, 9u);
   EXPECT_LE(rounds, 12u);
@@ -105,11 +109,11 @@ TEST(LatencyModelTest, ComposesWithLossModel) {
   fault.retransmit_after = 6;  // cover the worst link delay + ack
   engine.set_fault_model(fault);
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
-  agg::Convergecast<std::uint64_t> cast(
+  agg::ConvergecastPhase<std::uint64_t> cast(
       h, TrafficCategory::kFiltering, [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
-  engine.run(cast, 5000);
+  run_phase(engine, cast, kStandaloneConvergecast, 5000);
   ASSERT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), 30u);
 }

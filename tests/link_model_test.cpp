@@ -8,6 +8,7 @@
 #include "agg/convergecast.h"
 #include "net/engine.h"
 #include "net/link_model.h"
+#include "net/session.h"
 #include "net/topology.h"
 
 namespace nf::net {
@@ -21,9 +22,9 @@ Overlay make_line(std::uint32_t n) {
   return Overlay(std::move(t));
 }
 
-agg::Convergecast<std::uint64_t> counting_cast(const agg::Hierarchy& h,
-                                               std::uint64_t wire_bytes) {
-  return agg::Convergecast<std::uint64_t>(
+agg::ConvergecastPhase<std::uint64_t> counting_cast(const agg::Hierarchy& h,
+                                                    std::uint64_t wire_bytes) {
+  return agg::ConvergecastPhase<std::uint64_t>(
       h, TrafficCategory::kFiltering, [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [wire_bytes](const std::uint64_t&) { return wire_bytes; });
@@ -117,7 +118,8 @@ TEST(LinkModelTest, CapacityStretchesRoundsNotBytes) {
     engine.set_link_model(link);
     const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
     auto cast = counting_cast(h, 1000);  // 1000-byte messages
-    const std::uint64_t rounds = engine.run(cast, 5000);
+    const std::uint64_t rounds =
+        run_phase(engine, cast, kStandaloneConvergecast, 5000);
     EXPECT_TRUE(cast.complete());
     EXPECT_EQ(cast.result(), 4u);
     EXPECT_EQ(meter.total(), 3u * 1000);  // contention costs time, not bytes
@@ -145,7 +147,8 @@ TEST(LinkModelTest, BacklogClampBoundsDelayAndReportsClampedBytes) {
   engine.set_link_model(link);
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
   auto cast = counting_cast(h, 1000);  // every message overflows the horizon
-  const std::uint64_t rounds = engine.run(cast, 200);
+  const std::uint64_t rounds =
+      run_phase(engine, cast, kStandaloneConvergecast, 200);
   EXPECT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), 9u);
   EXPECT_GT(engine.queue_delay_rounds(), 0u);
@@ -211,7 +214,8 @@ TEST(LinkModelTest, QueueDelayBeyondRetransmitTimerStaysExactlyOnce) {
     engine.set_fault_model(fault);
     const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
     auto cast = counting_cast(h, 1000);  // 10 transfer rounds per hop
-    const std::uint64_t rounds = engine.run(cast, 1000);
+    const std::uint64_t rounds =
+        run_phase(engine, cast, kStandaloneConvergecast, 1000);
     EXPECT_TRUE(cast.complete());
     // Exactly-once: retransmitted copies are suppressed at the receiver,
     // so the sum is exact even though the timer fired under queueing.
@@ -242,7 +246,7 @@ TEST(LinkModelTest, LossAndQueueingComposeToExactResult) {
   engine.set_fault_model(fault);
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
   auto cast = counting_cast(h, 2000);
-  engine.run(cast, 5000);
+  run_phase(engine, cast, kStandaloneConvergecast, 5000);
   ASSERT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), 30u);
 }

@@ -11,7 +11,7 @@ struct LinkStats {
   void charge(std::uint32_t, std::uint32_t, std::size_t, std::uint64_t) {}
 };
 
-class Convergecast {
+class ConvergecastPhase {
  public:
   void on_deliver(std::uint32_t from, std::uint32_t to,
                   std::uint64_t bytes) {

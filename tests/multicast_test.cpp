@@ -9,7 +9,10 @@ namespace nf::agg {
 namespace {
 
 using net::Engine;
+using net::kStandaloneBroadcast;
 using net::Overlay;
+using net::PhaseContext;
+using net::run_phase;
 using net::Topology;
 using net::TrafficCategory;
 using net::TrafficMeter;
@@ -29,14 +32,15 @@ TEST(MulticastTest, EveryMemberReceivesExactlyOnce) {
   Rng rng(1);
   Fixture fx(net::random_tree(100, 3, rng));
   std::multiset<std::uint32_t> receivers;
-  Multicast<std::string> mc(
-      fx.hierarchy, TrafficCategory::kDissemination, "payload", 16,
-      [&](PeerId p, const std::string& s) {
+  MulticastPhase<std::string> mc(
+      fx.hierarchy, TrafficCategory::kDissemination,
+      [&](PhaseContext& ctx, const std::string& s) {
         EXPECT_EQ(s, "payload");
-        receivers.insert(p.value());
+        receivers.insert(ctx.self().value());
       });
+  mc.set_payload("payload", 16);
   Engine engine(fx.overlay, fx.meter);
-  engine.run(mc, 200);
+  run_phase(engine, mc, kStandaloneBroadcast, 200);
   ASSERT_TRUE(mc.complete());
   EXPECT_EQ(mc.num_received(), 100u);
   EXPECT_EQ(receivers.size(), 100u);
@@ -48,10 +52,11 @@ TEST(MulticastTest, EveryMemberReceivesExactlyOnce) {
 TEST(MulticastTest, ChargesOneMessagePerEdge) {
   Rng rng(2);
   Fixture fx(net::random_tree(64, 4, rng));
-  Multicast<int> mc(fx.hierarchy, TrafficCategory::kDissemination, 7, 10,
-                    [](PeerId, const int&) {});
+  MulticastPhase<int> mc(fx.hierarchy, TrafficCategory::kDissemination,
+                         [](PhaseContext&, const int&) {});
+  mc.set_payload(7, 10);
   Engine engine(fx.overlay, fx.meter);
-  engine.run(mc, 100);
+  run_phase(engine, mc, kStandaloneBroadcast, 100);
   // N-1 tree edges, one message of 10 bytes each.
   EXPECT_EQ(fx.meter.num_messages(), 63u);
   EXPECT_EQ(fx.meter.total(TrafficCategory::kDissemination), 630u);
@@ -63,10 +68,12 @@ TEST(MulticastTest, CompletesInHeightRounds) {
     t.add_edge(PeerId(i), PeerId(i + 1));
   }
   Fixture fx(std::move(t));
-  Multicast<int> mc(fx.hierarchy, TrafficCategory::kDissemination, 1, 1,
-                    [](PeerId, const int&) {});
+  MulticastPhase<int> mc(fx.hierarchy, TrafficCategory::kDissemination,
+                         [](PhaseContext&, const int&) {});
+  mc.set_payload(1, 1);
   Engine engine(fx.overlay, fx.meter);
-  const std::uint64_t rounds = engine.run(mc, 100);
+  const std::uint64_t rounds =
+      run_phase(engine, mc, kStandaloneBroadcast, 100);
   EXPECT_TRUE(mc.complete());
   EXPECT_LE(rounds, fx.hierarchy.height() + 1);
 }
@@ -74,10 +81,11 @@ TEST(MulticastTest, CompletesInHeightRounds) {
 TEST(MulticastTest, SingletonRootOnlyDeliversLocally) {
   Fixture fx{Topology(1)};
   int deliveries = 0;
-  Multicast<int> mc(fx.hierarchy, TrafficCategory::kDissemination, 1, 1,
-                    [&](PeerId, const int&) { ++deliveries; });
+  MulticastPhase<int> mc(fx.hierarchy, TrafficCategory::kDissemination,
+                         [&](PhaseContext&, const int&) { ++deliveries; });
+  mc.set_payload(1, 1);
   Engine engine(fx.overlay, fx.meter);
-  engine.run(mc, 10);
+  run_phase(engine, mc, kStandaloneBroadcast, 10);
   EXPECT_TRUE(mc.complete());
   EXPECT_EQ(deliveries, 1);
   EXPECT_EQ(fx.meter.total(), 0u);
@@ -87,10 +95,13 @@ TEST(MulticastTest, RootHandlerRunsFirst) {
   Rng rng(3);
   Fixture fx(net::random_tree(30, 3, rng));
   std::vector<std::uint32_t> order;
-  Multicast<int> mc(fx.hierarchy, TrafficCategory::kDissemination, 1, 1,
-                    [&](PeerId p, const int&) { order.push_back(p.value()); });
+  MulticastPhase<int> mc(fx.hierarchy, TrafficCategory::kDissemination,
+                         [&](PhaseContext& ctx, const int&) {
+                           order.push_back(ctx.self().value());
+                         });
+  mc.set_payload(1, 1);
   Engine engine(fx.overlay, fx.meter);
-  engine.run(mc, 100);
+  run_phase(engine, mc, kStandaloneBroadcast, 100);
   ASSERT_FALSE(order.empty());
   EXPECT_EQ(order.front(), 0u);
   // Delivery order respects depth: a child never precedes its parent.

@@ -55,6 +55,21 @@ TEST(PartitionedNetFilterTest, ExactAcrossPartitionCounts) {
   }
 }
 
+TEST(PartitionedNetFilterTest, LossyLinksStayExact) {
+  // Every slice engine runs on the configured links: at 5 % loss the
+  // reliability layer keeps the answer exact and charges its ACKs.
+  Rig rig(80, 6000, 40);
+  Rng rng(41);
+  const auto mh = agg::MultiHierarchy::build_random(rig.overlay, 3, rng);
+  const Value t = rig.workload.threshold_for(0.01);
+  NetFilterConfig cfg = config(64, 4);
+  cfg.fault.loss_probability = 0.05;
+  const PartitionedNetFilter pnf(cfg);
+  const auto res = pnf.run(rig.workload, mh, rig.overlay, rig.meter, t);
+  EXPECT_EQ(res.frequent, rig.workload.frequent_items(t));
+  EXPECT_GT(rig.meter.total(net::TrafficCategory::kControl), 0u);
+}
+
 TEST(PartitionedNetFilterTest, SinglePartitionMatchesPlainNetFilterCost) {
   Rig rig(60, 4000, 20);
   const auto mh = agg::MultiHierarchy::build(rig.overlay, {PeerId(0)});

@@ -5,13 +5,13 @@
 // reach their high-water mark during a warm-up run and are reused
 // afterwards. This test links the nf_alloc_hook operator-new override,
 // warms an engine with one full flat convergecast run, flips
-// begin_steady_state(), and runs a second (fresh) protocol instance on the
+// begin_steady_state(), and runs a second (fresh) phase instance on the
 // same engine — asserting the round loop allocated exactly nothing.
 //
-// Protocol instances are one-shot (SessionMux `opened` gating), so the
-// steady-state run uses a fresh instance B while the *engine* stays warm;
-// B's own arenas fill in on_run_start, which sits before the measured
-// round loop by design.
+// Phase instances are one-shot, so the steady-state run uses a fresh
+// instance B while the *engine* stays warm; B's own arenas and the mux
+// run_phase builds around it fill in before the measured round loop by
+// design.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +23,7 @@
 #include "common/alloc_hook.h"
 #include "common/rng.h"
 #include "net/engine.h"
+#include "net/session.h"
 #include "net/topology.h"
 #include "obs/context.h"
 
@@ -30,16 +31,18 @@ namespace nf::agg {
 namespace {
 
 using net::Engine;
+using net::kStandaloneConvergecast;
 using net::Overlay;
+using net::run_phase;
 using net::TrafficCategory;
 using net::TrafficMeter;
 
 constexpr std::uint32_t kPeers = 256;
 constexpr std::uint32_t kWidth = 96;  // f*g group sums per message
 
-FlatAggregateConvergecast make_cast(const Hierarchy& hierarchy,
-                                    obs::Context* obs = nullptr) {
-  return FlatAggregateConvergecast(
+FlatAggregateConvergecastPhase make_cast(const Hierarchy& hierarchy,
+                                         obs::Context* obs = nullptr) {
+  return FlatAggregateConvergecastPhase(
       hierarchy, TrafficCategory::kFiltering, kWidth,
       [](PeerId p, std::span<std::uint64_t> out) {
         for (std::uint32_t j = 0; j < kWidth; ++j) {
@@ -69,13 +72,13 @@ TEST(SteadyAllocTest, WarmedFlatRunAllocatesNothing) {
 
   // Warm-up: one full run grows every slab, outbox and inbox to its
   // high-water mark.
-  FlatAggregateConvergecast warm = make_cast(hierarchy);
-  engine.run(warm, 100);
+  FlatAggregateConvergecastPhase warm = make_cast(hierarchy);
+  run_phase(engine, warm, kStandaloneConvergecast, 100);
   ASSERT_TRUE(warm.complete());
 
   engine.begin_steady_state();
-  FlatAggregateConvergecast steady = make_cast(hierarchy);
-  engine.run(steady, 100);
+  FlatAggregateConvergecastPhase steady = make_cast(hierarchy);
+  run_phase(engine, steady, kStandaloneConvergecast, 100);
   ASSERT_TRUE(steady.complete());
   EXPECT_EQ(engine.steady_allocs(), 0u)
       << "flat hot path allocated on a warmed engine";
@@ -118,11 +121,11 @@ TEST(SteadyAllocTest, SteadyAllocsMirroredIntoObsCounter) {
   obs::Context obs;
   engine.set_obs(&obs);
 
-  FlatAggregateConvergecast warm = make_cast(hierarchy, &obs);
-  engine.run(warm, 100);
+  FlatAggregateConvergecastPhase warm = make_cast(hierarchy, &obs);
+  run_phase(engine, warm, kStandaloneConvergecast, 100, &obs);
   engine.begin_steady_state();
-  FlatAggregateConvergecast steady = make_cast(hierarchy, &obs);
-  engine.run(steady, 100);
+  FlatAggregateConvergecastPhase steady = make_cast(hierarchy, &obs);
+  run_phase(engine, steady, kStandaloneConvergecast, 100, &obs);
   ASSERT_TRUE(steady.complete());
   EXPECT_EQ(obs.registry.counter("engine/steady_allocs").value(),
             engine.steady_allocs());

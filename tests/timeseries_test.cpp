@@ -10,6 +10,7 @@
 #include "agg/convergecast.h"
 #include "agg/hierarchy.h"
 #include "net/engine.h"
+#include "net/session.h"
 #include "net/topology.h"
 #include "obs/context.h"
 #include "obs/export.h"
@@ -135,12 +136,12 @@ std::unique_ptr<Context> run_with_obs(std::uint32_t threads) {
   net::Engine engine(overlay, meter);
   engine.set_threads(threads);
   engine.set_obs(ctx.get());
-  agg::Convergecast<std::uint64_t> cast(
+  agg::ConvergecastPhase<std::uint64_t> cast(
       h, net::TrafficCategory::kFiltering,
       [&](PeerId p) { return w.local_items(p).size(); },
       [](std::uint64_t& acc, std::uint64_t&& child) { acc += child; },
       [](const std::uint64_t&) { return std::uint64_t{64}; }, ctx.get());
-  engine.run(cast, 5000);
+  net::run_phase(engine, cast, net::kStandaloneConvergecast, 5000, ctx.get());
   EXPECT_TRUE(cast.complete());
   return ctx;
 }
