@@ -1,13 +1,21 @@
-// Flat slab-backed counterparts of the generic hierarchy protocols
-// (convergecast / multicast) — the million-peer hot path.
+// Flat slab-backed hierarchy phases — the million-peer hot path: two
+// convergecasts and the one multicast (paper Algorithm 2, line 1).
 //
-// Where the typed phases (agg/convergecast.h, agg/multicast.h) ship owning
-// C++ objects through `std::any` envelopes, these phases encode every
-// message into the engine's slab arenas with the varint/delta codecs
-// (net/codec.h) and ship a PayloadRef. Receivers decode straight from the
-// delivered span; forwards are span copies. Combined with the
-// structure-of-arrays state below, a warmed loss-free run performs zero
-// heap allocations inside the round loop (tests/steady_alloc_test.cpp).
+// Where the typed ConvergecastPhase (agg/convergecast.h) ships owning C++
+// objects through `std::any` envelopes, these phases encode every message
+// into the engine's slab arenas with the varint/delta codecs (net/codec.h)
+// and ship a PayloadRef. Receivers decode straight from the delivered
+// span; forwards are span copies. Combined with the structure-of-arrays
+// state below, a warmed loss-free run performs zero heap allocations
+// inside the round loop (tests/steady_alloc_test.cpp).
+//
+// FlatMulticastPhase carries every top-down payload: netFilter's heavy
+// group ids, the partitioned slices, and serve_concurrent's query
+// announcements. Its payload may be set mid-run — the pipelined netFilter
+// only knows the heavy set when filtering completes at the root — and each
+// peer's handler fires the moment the copy reaches it, which is the
+// per-peer trigger that lets the next phase start there without a global
+// barrier.
 //
 // State layout (DESIGN.md §6f): FlatAggregateConvergecastPhase keeps the
 // per-peer f×g group sums in one contiguous PeerRowArena<u64> — peer-major

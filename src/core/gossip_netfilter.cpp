@@ -8,6 +8,7 @@
 #include "agg/gossip.h"
 #include "common/arena.h"
 #include "common/error.h"
+#include "core/netfilter.h"
 #include "net/flood.h"
 #include "net/session.h"
 #include "obs/context.h"
@@ -194,40 +195,32 @@ GossipNetFilterResult GossipNetFilter::run(
       num_peers;
 
   // The initiator prunes with slack against its own estimates.
-  std::vector<std::vector<bool>> heavy(f, std::vector<bool>(g, false));
-  std::uint64_t heavy_total = 0;
+  HeavyGroupSet heavy;
+  heavy.heavy.assign(f, std::vector<bool>(g, false));
   for (std::uint32_t i = 0; i < f; ++i) {
     for (std::uint32_t j = 0; j < g; ++j) {
       const double est = phase1.estimate_sum(
           initiator, static_cast<std::size_t>(i) * g + j);
-      if (est >= prune_bar) {
-        heavy[i][j] = true;
-        ++heavy_total;
-      }
+      heavy.heavy[i][j] = est >= prune_bar;
     }
   }
+  const std::uint64_t heavy_total = heavy.total();
   result.stats.heavy_groups_total = heavy_total;
 
   // ---- Dissemination: flood the heavy bitmap. ----
   const std::uint64_t flood_before =
       meter.total(net::TrafficCategory::kDissemination);
   std::vector<ValueMap<ItemId, double>> partial(num_peers);
-  net::FloodPhase<std::vector<std::vector<bool>>> flood(
-      initiator, heavy, heavy_total * config_.wire.group_id_bytes,
+  net::FlatFloodPhase flood(
+      initiator, encode_heavy_groups(heavy),
+      heavy_total * config_.wire.group_id_bytes,
       net::TrafficCategory::kDissemination, config_.flood_ttl,
-      [&](net::PhaseContext& ctx,
-          const std::vector<std::vector<bool>>& bitmap) {
+      [&](net::PhaseContext& ctx, std::span<const std::uint8_t> body) {
         const PeerId p = ctx.self();
         if (!overlay.is_alive(p)) return;
+        const HeavyGroupSet received = decode_heavy_groups(body, f, g);
         for (const auto& [id, value] : items.local_items(p)) {
-          bool passes = true;
-          for (std::uint32_t i = 0; i < f; ++i) {
-            if (!bitmap[i][bank_.filter(i).group_of(id).value()]) {
-              passes = false;
-              break;
-            }
-          }
-          if (passes) {
+          if (received.passes(id, bank_)) {
             partial[p.value()].add(id, static_cast<double>(value));
           }
         }

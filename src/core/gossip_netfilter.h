@@ -13,7 +13,7 @@
 //   with high probability).
 //
 //   Dissemination. The surviving heavy-group bitmap is flooded over the
-//   overlay (net::FloodPhase) so every peer materializes its partial
+//   overlay (net::FlatFloodPhase) so every peer materializes its partial
 //   candidate set against the SAME bitmap.
 //
 //   Phase 2 (candidate verification). A second push-sum runs over the

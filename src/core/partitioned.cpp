@@ -1,10 +1,10 @@
 #include "core/partitioned.h"
 
-#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "agg/convergecast.h"
-#include "agg/multicast.h"
+#include "agg/flat_phases.h"
 #include "common/arena.h"
 #include "common/error.h"
 #include "net/session.h"
@@ -98,18 +98,17 @@ PartitionedResult PartitionedNetFilter::run(
   const std::uint64_t dissemination_before =
       meter.total(net::TrafficCategory::kDissemination);
   // Peers reassemble the union; with deterministic slices the reassembled
-  // bitmap equals `heavy` everywhere, so we model the traffic (per-slice
-  // heavy ids over each hierarchy's edges) and hand peers the full bitmap.
+  // bitmap equals `heavy` everywhere, so we ship each slice's encoded heavy
+  // ids over its hierarchy's edges and hand peers the full bitmap.
   for (std::uint32_t s = 0; s < k; ++s) {
-    std::uint64_t slice_heavy = 0;
-    for (std::uint32_t fi : slice_filters[s]) {
-      slice_heavy += static_cast<std::uint64_t>(std::count(
-          heavy[fi].begin(), heavy[fi].end(), true));
-    }
-    agg::MulticastPhase<std::uint32_t> mc(
+    HeavyGroupSet slice;
+    slice.heavy.assign(f, std::vector<bool>(g, false));
+    for (std::uint32_t fi : slice_filters[s]) slice.heavy[fi] = heavy[fi];
+    agg::FlatMulticastPhase mc(
         hierarchies.at(s), net::TrafficCategory::kDissemination,
-        [](net::PhaseContext&, const std::uint32_t&) {});
-    mc.set_payload(s, slice_heavy * config_.wire.group_id_bytes);
+        [](net::PhaseContext&, std::span<const std::uint8_t>) {});
+    mc.set_payload(encode_heavy_groups(slice),
+                   slice.total() * config_.wire.group_id_bytes);
     net::Engine engine(overlay, meter);
     configure(engine);
     result.stats.rounds += net::run_phase(

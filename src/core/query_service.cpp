@@ -1,18 +1,17 @@
 #include "core/query_service.h"
 
 #include <algorithm>
-#include <any>
-#include <atomic>
+#include <array>
 #include <cmath>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
-#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 
-#include "agg/multicast.h"
-#include "common/arena.h"
+#include "agg/flat_phases.h"
+#include "agg/unicast.h"
 #include "common/error.h"
 #include "core/host_report.h"
 #include "core/ifi_session.h"
@@ -21,285 +20,6 @@
 namespace nf::core {
 
 namespace {
-
-/// Stage 1: every requester's theta travels up the parent chain to the
-/// root, recording its route (paper §III-A.1). One protocol instance
-/// carries all requests.
-class RequestsUp final : public net::Protocol {
- public:
-  struct Arrived {
-    PeerId requester;
-    double theta;
-    std::vector<PeerId> route;  // [requester, hop, ...], excluding root
-  };
-
-  RequestsUp(const agg::Hierarchy& hierarchy,
-             const std::vector<FrequentItemsRequest>& requests,
-             std::uint64_t request_bytes)
-      : hierarchy_(hierarchy),
-        requests_(requests),
-        request_bytes_(request_bytes),
-        started_(requests.size(), 0) {}
-
-  void on_round(net::Context& ctx) override {
-    // The engine calls on_round for every alive peer every round, so each
-    // requester originates its own request(s) in round 0. One byte per
-    // request (not vector<bool>): only the requester's shard touches its
-    // requests' flags, and bytes keep those writes race-free.
-    for (std::size_t i = 0; i < requests_.size(); ++i) {
-      if (started_[i] != 0 || requests_[i].requester != ctx.self()) continue;
-      started_[i] = 1;
-      forward(ctx,
-              Arrived{requests_[i].requester, requests_[i].theta, {}});
-    }
-  }
-
-  void on_message(net::Context& ctx, net::Envelope&& env) override {
-    auto* msg = std::any_cast<Arrived>(&env.payload);
-    ensure(msg != nullptr, "request payload type mismatch");
-    forward(ctx, std::move(*msg));
-  }
-
-  [[nodiscard]] bool active() const override {
-    return arrived_.size() < requests_.size();
-  }
-  [[nodiscard]] const std::vector<Arrived>& arrived() const {
-    return arrived_;
-  }
-
- private:
-  void forward(net::Context& ctx, Arrived&& msg) {
-    const PeerId self = ctx.self();
-    if (self == hierarchy_.root()) {
-      arrived_.push_back(std::move(msg));
-      return;
-    }
-    msg.route.push_back(self);
-    // Control-plane hop: one tiny routed message per query, off the
-    // zero-alloc hot path.
-    ctx.send(hierarchy_.upstream(self), net::TrafficCategory::kControl,
-             request_bytes_, std::any(std::move(msg)));  // nf-lint: nf-flat-payload-ok
-  }
-
-  const agg::Hierarchy& hierarchy_;
-  const std::vector<FrequentItemsRequest>& requests_;
-  std::uint64_t request_bytes_;
-  std::vector<std::uint8_t> started_;
-  // Root-shard only: requests arrive via on_message at the root, so there
-  // is a single writer and the engine barrier publishes it.
-  std::vector<Arrived> arrived_;
-};
-
-/// Stage 3: per-requester replies retrace the recorded routes.
-class RepliesDown final : public net::Protocol {
- public:
-  struct Pending {
-    std::vector<PeerId> route;  // remaining hops; requester first
-    FrequentItemsResponse response;
-  };
-
-  RepliesDown(const agg::Hierarchy& hierarchy, std::vector<Pending> replies,
-              std::uint64_t pair_bytes)
-      : hierarchy_(hierarchy),
-        outbox_(std::move(replies)),
-        pair_bytes_(pair_bytes),
-        expected_(outbox_.size()) {}
-
-  void on_run_start(const net::Overlay& overlay) override {
-    if (delivered_.empty()) delivered_.resize(overlay.num_peers());
-  }
-
-  void on_round(net::Context& ctx) override {
-    if (ctx.self() != hierarchy_.root() || sent_) return;
-    sent_ = true;
-    for (auto& pending : outbox_) {
-      dispatch(ctx, std::move(pending));
-    }
-    outbox_.clear();
-  }
-
-  void on_message(net::Context& ctx, net::Envelope&& env) override {
-    auto* msg = std::any_cast<Pending>(&env.payload);
-    ensure(msg != nullptr, "reply payload type mismatch");
-    dispatch(ctx, std::move(*msg));
-  }
-
-  [[nodiscard]] bool active() const override {
-    return delivered_count_.load(std::memory_order_relaxed) < expected_;
-  }
-  /// Delivered responses in requester id order (per-requester arrival
-  /// order within a requester); the caller re-sorts by request position.
-  [[nodiscard]] std::vector<FrequentItemsResponse> take_delivered() {
-    std::vector<FrequentItemsResponse> out;
-    for (auto& per_peer : delivered_) {
-      for (auto& response : per_peer) out.push_back(std::move(response));
-    }
-    return out;
-  }
-
- private:
-  void dispatch(net::Context& ctx, Pending&& pending) {
-    if (pending.route.empty()) {
-      ensure(ctx.self() == pending.response.requester, "reply misrouted");
-      // Replies land in the requester's own arena slot, so concurrent
-      // arrivals at requesters in different shards never share state.
-      delivered_[ctx.self()].push_back(std::move(pending.response));
-      delivered_count_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    const PeerId next = pending.route.back();
-    pending.route.pop_back();
-    const std::uint64_t bytes =
-        pending.response.frequent.size() * pair_bytes_;
-    ctx.send(next, net::TrafficCategory::kControl, bytes,
-             std::any(std::move(pending)));  // nf-lint: nf-flat-payload-ok
-  }
-
-  const agg::Hierarchy& hierarchy_;
-  std::vector<Pending> outbox_;
-  std::uint64_t pair_bytes_;
-  std::size_t expected_;
-  bool sent_ = false;
-  PeerArena<std::vector<FrequentItemsResponse>> delivered_;
-  std::atomic<std::size_t> delivered_count_{0};
-};
-
-// ---- serve_concurrent: per-query session phases (net/session.h) ----
-
-/// Wire shape of a request walking up the parent chain. The route is what
-/// the reply retraces; the query parameters themselves are registered at
-/// the root per session, so the message body is just the theta the byte
-/// charge models.
-struct QueryRequestMsg {
-  std::vector<PeerId> route;  ///< hops walked so far, excluding the root
-};
-
-/// Query parameters the root announces down the tree: enough for a peer to
-/// derive the session's filter bank and threshold.
-struct QueryAnnounceMsg {
-  std::uint64_t filter_seed = 0;
-  std::uint32_t num_filters = 0;
-  std::uint32_t num_groups = 0;
-  Value threshold = 0;
-};
-
-/// Reply retracing the recorded route back to the requester.
-struct QueryReplyMsg {
-  std::vector<PeerId> route;  ///< remaining hops; requester first
-  ValueMap<ItemId, Value> frequent;
-};
-
-/// Session entry phase: the requester originates when the phase opens
-/// (kAllPeers, round 0) and each hop forwards upstream, recording the
-/// route. done() once the root has it.
-class RequestPhase final  // control plane, not hot path
-    : public net::TypedPhase<QueryRequestMsg> {  // nf-lint: nf-flat-payload-ok
- public:
-  using ArrivedFn =
-      std::function<void(net::PhaseContext&, QueryRequestMsg&&)>;
-
-  RequestPhase(const agg::Hierarchy& hierarchy, PeerId requester,
-               std::uint64_t request_bytes, ArrivedFn on_arrived)
-      : hierarchy_(hierarchy),
-        requester_(requester),
-        request_bytes_(request_bytes),
-        on_arrived_(std::move(on_arrived)) {}
-
-  void on_start(net::PhaseContext& ctx) override {
-    if (ctx.self() != requester_) return;
-    forward(ctx, QueryRequestMsg{});
-  }
-
-  [[nodiscard]] bool done() const override {
-    return arrived_.load(std::memory_order_relaxed);
-  }
-
- protected:
-  void on_payload(net::PhaseContext& ctx, QueryRequestMsg&& msg,
-                  PeerId /*from*/) override {
-    forward(ctx, std::move(msg));
-  }
-
- private:
-  void forward(net::PhaseContext& ctx, QueryRequestMsg&& msg) {
-    const PeerId self = ctx.self();
-    if (self == hierarchy_.root()) {
-      arrived_.store(true, std::memory_order_relaxed);
-      on_arrived_(ctx, std::move(msg));
-      return;
-    }
-    msg.route.push_back(self);
-    this->send(ctx, hierarchy_.upstream(self), net::TrafficCategory::kControl,
-               request_bytes_, std::move(msg));
-  }
-
-  const agg::Hierarchy& hierarchy_;
-  PeerId requester_;
-  std::uint64_t request_bytes_;
-  ArrivedFn on_arrived_;
-  std::atomic<bool> arrived_{false};
-};
-
-/// Session exit phase: the root dispatches the finished answer along the
-/// recorded route; done() when it lands at the requester.
-class ReplyPhase final  // control plane, not hot path
-    : public net::TypedPhase<QueryReplyMsg> {  // nf-lint: nf-flat-payload-ok
- public:
-  using DeliveredFn =
-      std::function<void(net::PhaseContext&, QueryReplyMsg&&)>;
-
-  ReplyPhase(PeerId requester, std::uint64_t pair_bytes,
-             DeliveredFn on_delivered)
-      : requester_(requester),
-        pair_bytes_(pair_bytes),
-        on_delivered_(std::move(on_delivered)) {}
-
-  /// Installed at the root (its shard) right before open_phase().
-  void set_payload(QueryReplyMsg msg) {
-    outbox_ = std::move(msg);
-    has_payload_ = true;
-  }
-
-  void on_start(net::PhaseContext& ctx) override {
-    // Opened at the root by the IFI completion hook (payload installed) or
-    // at a relay/requester by message arrival (nothing to originate).
-    if (!has_payload_) return;
-    has_payload_ = false;
-    dispatch(ctx, std::move(outbox_));
-  }
-
-  [[nodiscard]] bool done() const override {
-    return delivered_.load(std::memory_order_relaxed);
-  }
-
- protected:
-  void on_payload(net::PhaseContext& ctx, QueryReplyMsg&& msg,
-                  PeerId /*from*/) override {
-    dispatch(ctx, std::move(msg));
-  }
-
- private:
-  void dispatch(net::PhaseContext& ctx, QueryReplyMsg&& msg) {
-    if (msg.route.empty()) {
-      ensure(ctx.self() == requester_, "reply misrouted");
-      delivered_.store(true, std::memory_order_relaxed);
-      on_delivered_(ctx, std::move(msg));
-      return;
-    }
-    const PeerId next = msg.route.back();
-    msg.route.pop_back();
-    const std::uint64_t bytes = msg.frequent.size() * pair_bytes_;
-    this->send(ctx, next, net::TrafficCategory::kControl, bytes,
-               std::move(msg));
-  }
-
-  PeerId requester_;
-  std::uint64_t pair_bytes_;
-  DeliveredFn on_delivered_;
-  QueryReplyMsg outbox_;
-  bool has_payload_ = false;
-  std::atomic<bool> delivered_{false};
-};
 
 /// Everything one multiplexed query owns: its six phases (request ->
 /// announce -> filtering -> dissemination -> aggregation -> reply), its own
@@ -311,9 +31,9 @@ struct QuerySession {
   NetFilterConfig config;
   std::unique_ptr<NetFilter> netfilter;
   std::unique_ptr<IfiSessionPhases> ifi;
-  std::unique_ptr<RequestPhase> request;
-  std::unique_ptr<agg::MulticastPhase<QueryAnnounceMsg>> announce;
-  std::unique_ptr<ReplyPhase> reply;
+  std::unique_ptr<agg::RequestPhase> request;
+  std::unique_ptr<agg::FlatMulticastPhase> announce;
+  std::unique_ptr<agg::ReplyPhase> reply;
   net::PhaseId announce_pid = 0;
   net::PhaseId filtering_pid = 0;
   net::PhaseId reply_pid = 0;
@@ -379,14 +99,10 @@ std::vector<FrequentItemsResponse> QueryService::serve_concurrent(
     q->ifi = std::make_unique<IfiSessionPhases>(*q->netfilter, effective,
                                                 hierarchy, q->threshold);
 
-    q->request = std::make_unique<RequestPhase>(
+    q->request = std::make_unique<agg::RequestPhase>(
         hierarchy, req.requester, config_.wire.aggregate_bytes,
-        [q, announce_bytes](net::PhaseContext& ctx, QueryRequestMsg&& msg) {
+        [q](net::PhaseContext& ctx, agg::RequestMsg&& msg) {
           q->route = std::move(msg.route);
-          q->announce->set_payload(
-              QueryAnnounceMsg{q->config.filter_seed, q->config.num_filters,
-                               q->config.num_groups, q->threshold},
-              announce_bytes);
           ctx.open_phase(q->announce_pid);
         });
     net::PhaseOptions ropts;
@@ -394,15 +110,20 @@ std::vector<FrequentItemsResponse> QueryService::serve_concurrent(
     ropts.name = "request";
     (void)mux.add_phase(q->sid, *q->request, ropts);
 
-    q->announce = std::make_unique<agg::MulticastPhase<QueryAnnounceMsg>>(
+    q->announce = std::make_unique<agg::FlatMulticastPhase>(
         hierarchy, net::TrafficCategory::kControl,
-        [q](net::PhaseContext& ctx, const QueryAnnounceMsg& /*msg*/) {
+        [q](net::PhaseContext& ctx, std::span<const std::uint8_t> /*body*/) {
           // In deployment the peer derives the session's filter bank from
           // the announced (f, g, seed); here the session's NetFilter holds
           // it already, so receipt just starts filtering at this peer.
           ctx.open_phase(q->filtering_pid);
         },
         obs);
+    q->announce->set_payload(
+        net::encode_aggregates(std::array<std::uint64_t, 4>{
+            q->config.filter_seed, q->config.num_filters,
+            q->config.num_groups, q->threshold}),
+        announce_bytes);
     net::PhaseOptions aopts;
     aopts.name = "announce";
     q->announce_pid = mux.add_phase(q->sid, *q->announce, aopts);
@@ -410,22 +131,20 @@ std::vector<FrequentItemsResponse> QueryService::serve_concurrent(
     q->filtering_pid =
         q->ifi->register_phases(mux, q->sid, net::PhaseStart::kOnDemand);
 
-    q->reply = std::make_unique<ReplyPhase>(
-        req.requester, config_.wire.item_value_pair(),
-        [q](net::PhaseContext& ctx, QueryReplyMsg&& msg) {
+    q->reply = std::make_unique<agg::ReplyPhase>(
+        hierarchy, req.requester, config_.wire.item_value_pair(),
+        [q](net::PhaseContext& ctx, ValueMap<ItemId, Value>&& frequent) {
           q->response.requester = ctx.self();
           q->response.threshold = q->threshold;
-          q->response.frequent = std::move(msg.frequent);
+          q->response.frequent = std::move(frequent);
         });
     net::PhaseOptions popts;
     popts.name = "reply";
     q->reply_pid = mux.add_phase(q->sid, *q->reply, popts);
 
     q->ifi->set_on_complete([q](net::PhaseContext& ctx) {
-      QueryReplyMsg msg;
-      msg.route = q->route;
-      msg.frequent = q->ifi->result().frequent;
-      q->reply->set_payload(std::move(msg));
+      q->reply->set_payload(
+          agg::ReplyMsg{q->route, q->ifi->result().frequent});
       ctx.open_phase(q->reply_pid);
     });
     sessions.push_back(std::move(owned));
@@ -509,16 +228,38 @@ std::vector<FrequentItemsResponse> QueryService::serve(
   }
   require(v_total > 0, "system holds no items");
 
-  // Stage 1: route all requests to the root (one theta per message).
+  // Each stage engine runs on the configured threads, faults and obs, as
+  // NetFilter's do.
+  const auto configure = [this](net::Engine& engine) {
+    engine.set_threads(config_.threads);
+    engine.set_fault_model(config_.fault);
+    engine.set_obs(config_.obs);
+  };
+  // Both routed stages open at every peer on the first tick: requesters
+  // originate their requests, the root its replies.
+  constexpr net::PhaseOptions kEveryPeer{net::PhaseStart::kAllPeers};
+
+  // Stage 1: route all requests to the root (one theta per message), one
+  // session per request in one engine run.
   const std::uint64_t control_at_entry =
       meter.total(net::TrafficCategory::kControl);
-  RequestsUp up(hierarchy, requests, config_.wire.aggregate_bytes);
+  std::vector<std::vector<PeerId>> routes(requests.size());
   {
+    net::SessionMux mux;
+    std::deque<agg::RequestPhase> up;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      up.emplace_back(hierarchy, requests[i].requester,
+                      config_.wire.aggregate_bytes,
+                      [&routes, i](net::PhaseContext&, agg::RequestMsg&& msg) {
+                        routes[i] = std::move(msg.route);
+                      });
+      (void)mux.add_phase(mux.add_session(), up.back(), kEveryPeer);
+    }
     net::Engine engine(overlay, meter);
-    engine.run(up, 10000);
+    configure(engine);
+    engine.run(mux, config_.max_rounds_per_phase);
+    ensure(mux.all_done(), "not every request reached the root");
   }
-  ensure(up.arrived().size() == requests.size(),
-         "not every request reached the root");
   const std::uint64_t control_after_requests =
       meter.total(net::TrafficCategory::kControl);
 
@@ -531,41 +272,37 @@ std::vector<FrequentItemsResponse> QueryService::serve(
   const NetFilterResult shared =
       netfilter.run(items, hierarchy, overlay, meter, min_threshold);
 
-  // Stage 3: per-request filtering of the superset, replies retrace routes.
-  std::vector<RepliesDown::Pending> pending;
-  pending.reserve(requests.size());
-  for (const auto& arrived : up.arrived()) {
-    RepliesDown::Pending p;
-    p.route = arrived.route;
-    p.response.requester = arrived.requester;
-    p.response.threshold = static_cast<Value>(
-        std::ceil(arrived.theta * static_cast<double>(v_total)));
-    p.response.frequent = shared.frequent;
-    p.response.frequent.retain([&](ItemId, Value v) {
-      return v >= p.response.threshold;
-    });
-    pending.push_back(std::move(p));
-  }
-  RepliesDown down(hierarchy, std::move(pending),
-                   config_.wire.item_value_pair());
+  // Stage 3: per-request filtering of the superset; one reply session per
+  // request retraces its route, all in one engine run.
+  const std::uint64_t control_before_replies =
+      meter.total(net::TrafficCategory::kControl);
+  std::vector<FrequentItemsResponse> responses(requests.size());
   {
+    net::SessionMux mux;
+    std::deque<agg::ReplyPhase> down;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      FrequentItemsResponse& response = responses[i];
+      response.requester = requests[i].requester;
+      response.threshold = static_cast<Value>(
+          std::ceil(requests[i].theta * static_cast<double>(v_total)));
+      agg::ReplyMsg reply{std::move(routes[i]), shared.frequent};
+      reply.frequent.retain(
+          [&](ItemId, Value v) { return v >= response.threshold; });
+      // Each reply lands in its own response slot, on the requester's
+      // shard, so concurrent deliveries never share state.
+      down.emplace_back(
+          hierarchy, response.requester, config_.wire.item_value_pair(),
+          [&response](net::PhaseContext&, ValueMap<ItemId, Value>&& frequent) {
+            response.frequent = std::move(frequent);
+          });
+      down.back().set_payload(std::move(reply));
+      (void)mux.add_phase(mux.add_session(), down.back(), kEveryPeer);
+    }
     net::Engine engine(overlay, meter);
-    engine.run(down, 10000);
+    configure(engine);
+    engine.run(mux, config_.max_rounds_per_phase);
+    ensure(mux.all_done(), "lost replies");
   }
-  auto responses = down.take_delivered();
-  ensure(responses.size() == requests.size(), "lost replies");
-  // Restore the caller's request order.
-  std::stable_sort(responses.begin(), responses.end(),
-                   [&](const FrequentItemsResponse& a,
-                       const FrequentItemsResponse& b) {
-                     const auto pos = [&](PeerId id) {
-                       for (std::size_t i = 0; i < requests.size(); ++i) {
-                         if (requests[i].requester == id) return i;
-                       }
-                       return requests.size();
-                     };
-                     return pos(a.requester) < pos(b.requester);
-                   });
 
   if (stats != nullptr) {
     stats->min_threshold = min_threshold;
@@ -576,7 +313,7 @@ std::vector<FrequentItemsResponse> QueryService::serve(
         static_cast<double>(control_after_requests - control_at_entry) / n;
     stats->reply_cost_per_peer =
         static_cast<double>(meter.total(net::TrafficCategory::kControl) -
-                            control_after_requests) /
+                            control_before_replies) /
         n;
   }
   return responses;

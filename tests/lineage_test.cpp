@@ -6,6 +6,7 @@
 // terminates at the session's done() round.
 #include <cstdint>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -220,9 +221,11 @@ TEST(LineageTest, ChurnedPeerDropsOutOfCriticalPaths) {
   (void)mux.add_phase(sid, cast, cast_opts);
 
   std::uint32_t receipts = 0;
-  net::FloodPhase<std::uint32_t> flood(
-      PeerId(0), 7u, 8, TrafficCategory::kDissemination, /*ttl=*/16,
-      [&receipts](net::PhaseContext&, const std::uint32_t&) { ++receipts; });
+  net::FlatFloodPhase flood(
+      PeerId(0), net::Bytes{7}, 8, TrafficCategory::kDissemination, /*ttl=*/16,
+      [&receipts](net::PhaseContext&, std::span<const std::uint8_t>) {
+        ++receipts;
+      });
   net::PhaseOptions flood_opts;
   flood_opts.start = net::PhaseStart::kAllPeers;
   flood_opts.name = "flood";

@@ -1,9 +1,10 @@
-#include "agg/multicast.h"
+#include "agg/flat_phases.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
-#include <string>
+#include <span>
+#include <vector>
 
 namespace nf::agg {
 namespace {
@@ -16,6 +17,9 @@ using net::run_phase;
 using net::Topology;
 using net::TrafficCategory;
 using net::TrafficMeter;
+
+constexpr std::uint8_t kOneByteData[] = {7};
+constexpr std::span<const std::uint8_t> kOneByte(kOneByteData);
 
 struct Fixture {
   explicit Fixture(Topology topo)
@@ -32,13 +36,15 @@ TEST(MulticastTest, EveryMemberReceivesExactlyOnce) {
   Rng rng(1);
   Fixture fx(net::random_tree(100, 3, rng));
   std::multiset<std::uint32_t> receivers;
-  MulticastPhase<std::string> mc(
+  const std::vector<std::uint8_t> payload{'p', 'a', 'y', 'l', 'o', 'a', 'd'};
+  FlatMulticastPhase mc(
       fx.hierarchy, TrafficCategory::kDissemination,
-      [&](PhaseContext& ctx, const std::string& s) {
-        EXPECT_EQ(s, "payload");
+      [&](PhaseContext& ctx, std::span<const std::uint8_t> body) {
+        EXPECT_EQ(std::vector<std::uint8_t>(body.begin(), body.end()),
+                  payload);
         receivers.insert(ctx.self().value());
       });
-  mc.set_payload("payload", 16);
+  mc.set_payload(payload, 16);
   Engine engine(fx.overlay, fx.meter);
   run_phase(engine, mc, kStandaloneBroadcast, 200);
   ASSERT_TRUE(mc.complete());
@@ -52,9 +58,9 @@ TEST(MulticastTest, EveryMemberReceivesExactlyOnce) {
 TEST(MulticastTest, ChargesOneMessagePerEdge) {
   Rng rng(2);
   Fixture fx(net::random_tree(64, 4, rng));
-  MulticastPhase<int> mc(fx.hierarchy, TrafficCategory::kDissemination,
-                         [](PhaseContext&, const int&) {});
-  mc.set_payload(7, 10);
+  FlatMulticastPhase mc(fx.hierarchy, TrafficCategory::kDissemination,
+                        [](PhaseContext&, std::span<const std::uint8_t>) {});
+  mc.set_payload(kOneByte, 10);
   Engine engine(fx.overlay, fx.meter);
   run_phase(engine, mc, kStandaloneBroadcast, 100);
   // N-1 tree edges, one message of 10 bytes each.
@@ -68,9 +74,9 @@ TEST(MulticastTest, CompletesInHeightRounds) {
     t.add_edge(PeerId(i), PeerId(i + 1));
   }
   Fixture fx(std::move(t));
-  MulticastPhase<int> mc(fx.hierarchy, TrafficCategory::kDissemination,
-                         [](PhaseContext&, const int&) {});
-  mc.set_payload(1, 1);
+  FlatMulticastPhase mc(fx.hierarchy, TrafficCategory::kDissemination,
+                        [](PhaseContext&, std::span<const std::uint8_t>) {});
+  mc.set_payload(kOneByte, 1);
   Engine engine(fx.overlay, fx.meter);
   const std::uint64_t rounds =
       run_phase(engine, mc, kStandaloneBroadcast, 100);
@@ -81,9 +87,10 @@ TEST(MulticastTest, CompletesInHeightRounds) {
 TEST(MulticastTest, SingletonRootOnlyDeliversLocally) {
   Fixture fx{Topology(1)};
   int deliveries = 0;
-  MulticastPhase<int> mc(fx.hierarchy, TrafficCategory::kDissemination,
-                         [&](PhaseContext&, const int&) { ++deliveries; });
-  mc.set_payload(1, 1);
+  FlatMulticastPhase mc(
+      fx.hierarchy, TrafficCategory::kDissemination,
+      [&](PhaseContext&, std::span<const std::uint8_t>) { ++deliveries; });
+  mc.set_payload(kOneByte, 1);
   Engine engine(fx.overlay, fx.meter);
   run_phase(engine, mc, kStandaloneBroadcast, 10);
   EXPECT_TRUE(mc.complete());
@@ -95,11 +102,11 @@ TEST(MulticastTest, RootHandlerRunsFirst) {
   Rng rng(3);
   Fixture fx(net::random_tree(30, 3, rng));
   std::vector<std::uint32_t> order;
-  MulticastPhase<int> mc(fx.hierarchy, TrafficCategory::kDissemination,
-                         [&](PhaseContext& ctx, const int&) {
-                           order.push_back(ctx.self().value());
-                         });
-  mc.set_payload(1, 1);
+  FlatMulticastPhase mc(fx.hierarchy, TrafficCategory::kDissemination,
+                        [&](PhaseContext& ctx, std::span<const std::uint8_t>) {
+                          order.push_back(ctx.self().value());
+                        });
+  mc.set_payload(kOneByte, 1);
   Engine engine(fx.overlay, fx.meter);
   run_phase(engine, mc, kStandaloneBroadcast, 100);
   ASSERT_FALSE(order.empty());

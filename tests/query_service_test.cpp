@@ -113,6 +113,36 @@ TEST(QueryServiceTest, ChargesRequestAndReplyTraffic) {
   EXPECT_GT(stats.reply_cost_per_peer, 0.0);
 }
 
+TEST(QueryServiceTest, ServeStaysExactUnderLoss) {
+  // Every serve() stage runs on the configured fault model: lost requests,
+  // netFilter messages and replies are retransmitted, and the request stage
+  // pays for its ACKs.
+  const std::vector<FrequentItemsRequest> reqs{
+      {PeerId(5), 0.1}, {PeerId(17), 0.01}, {PeerId(40), 0.03},
+      {PeerId(2), 0.05}};
+  const auto serve = [&](double loss) {
+    Rig rig(11);
+    NetFilterConfig cfg = config();
+    cfg.fault.loss_probability = loss;
+    cfg.fault.seed = 42;
+    const QueryService svc(cfg);
+    QueryServiceStats stats;
+    const auto responses = svc.serve(reqs, rig.workload, rig.hierarchy,
+                                     rig.overlay, rig.meter, &stats);
+    EXPECT_EQ(responses.size(), reqs.size());
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      EXPECT_EQ(responses[i].requester, reqs[i].requester);
+      EXPECT_EQ(responses[i].frequent,
+                rig.workload.frequent_items(responses[i].threshold))
+          << "loss " << loss << ", request " << i;
+    }
+    return stats;
+  };
+  const QueryServiceStats clean = serve(0.0);
+  const QueryServiceStats lossy = serve(0.05);
+  EXPECT_GT(lossy.request_cost_per_peer, clean.request_cost_per_peer);
+}
+
 TEST(QueryServiceTest, RejectsBadInput) {
   Rig rig(6);
   const QueryService svc(config());

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <optional>
 
 #include "net/topology.h"
 
@@ -11,6 +11,7 @@ namespace {
 
 using net::Engine;
 using net::Overlay;
+using net::PhaseContext;
 using net::Topology;
 using net::TrafficMeter;
 
@@ -33,88 +34,100 @@ Topology line(std::uint32_t n) {
   return t;
 }
 
-TEST(TreeRequestReplyTest, RoundTripsAlongTheLine) {
+/// One round trip as one session: the request opens at every peer (the
+/// requester originates), its arrival at the root installs `answer` and
+/// opens the reply there, and the reply retraces the route.
+struct RoundTrip {
+  std::optional<ValueMap<ItemId, Value>> reply;
+  std::optional<PeerId> served_at;
+  std::uint64_t rounds = 0;
+};
+
+RoundTrip round_trip(Fixture& fx, PeerId requester,
+                     std::uint64_t request_bytes, std::uint64_t pair_bytes,
+                     const ValueMap<ItemId, Value>& answer) {
+  RoundTrip out;
+  net::SessionMux mux;
+  const net::SessionId sid = mux.add_session();
+  net::PhaseId reply_pid = 0;
+  ReplyPhase reply(fx.hierarchy, requester, pair_bytes,
+                   [&](PhaseContext& ctx, ValueMap<ItemId, Value>&& frequent) {
+                     EXPECT_EQ(ctx.self(), requester);
+                     out.reply = std::move(frequent);
+                   });
+  RequestPhase request(fx.hierarchy, requester, request_bytes,
+                       [&](PhaseContext& ctx, RequestMsg&& msg) {
+                         out.served_at = ctx.self();
+                         reply.set_payload(
+                             ReplyMsg{std::move(msg.route), answer});
+                         ctx.open_phase(reply_pid);
+                       });
+  (void)mux.add_phase(sid, request, net::kStandaloneBroadcast);
+  reply_pid = mux.add_phase(sid, reply, net::PhaseOptions{});
+  Engine engine(fx.overlay, fx.meter);
+  out.rounds = engine.run(mux, 200);
+  EXPECT_TRUE(mux.all_done());
+  return out;
+}
+
+ValueMap<ItemId, Value> answer_of(std::uint64_t n) {
+  ValueMap<ItemId, Value> m;
+  for (std::uint64_t i = 0; i < n; ++i) m.add(ItemId(i), 1000 + i);
+  return m;
+}
+
+TEST(UnicastTest, RoundTripsAlongTheLine) {
   Fixture fx(line(6));
-  TreeRequestReply<int, std::string> rpc(
-      fx.hierarchy, PeerId(5), 42, /*request_bytes=*/4,
-      [](PeerId root, const int& q) {
-        EXPECT_EQ(root, PeerId(0));
-        return "answer-" + std::to_string(q);
-      },
-      [](const std::string& r) { return r.size(); });
-  Engine engine(fx.overlay, fx.meter);
-  engine.run(rpc, 100);
-  ASSERT_TRUE(rpc.complete());
-  EXPECT_EQ(rpc.reply(), "answer-42");
+  const RoundTrip rt = round_trip(fx, PeerId(5), /*request_bytes=*/4,
+                                  /*pair_bytes=*/8, answer_of(3));
+  EXPECT_EQ(rt.served_at, PeerId(0));
+  ASSERT_TRUE(rt.reply.has_value());
+  EXPECT_EQ(*rt.reply, answer_of(3));
 }
 
-TEST(TreeRequestReplyTest, CompletesInTwiceDepthRounds) {
+TEST(UnicastTest, CompletesInTwiceDepthRounds) {
   Fixture fx(line(8));
-  TreeRequestReply<int, int> rpc(
-      fx.hierarchy, PeerId(7), 1, 4, [](PeerId, const int& q) { return q; },
-      [](const int&) { return std::uint64_t{4}; });
-  Engine engine(fx.overlay, fx.meter);
-  const std::uint64_t rounds = engine.run(rpc, 100);
-  EXPECT_TRUE(rpc.complete());
-  EXPECT_LE(rounds, 2u * 7u + 2u);
+  const RoundTrip rt = round_trip(fx, PeerId(7), 4, 4, answer_of(1));
+  EXPECT_TRUE(rt.reply.has_value());
+  EXPECT_LE(rt.rounds, 2u * 7u + 2u);
 }
 
-TEST(TreeRequestReplyTest, ChargesPerHopBothWays) {
+TEST(UnicastTest, ChargesPerHopBothWays) {
   Fixture fx(line(4));  // requester depth 3
-  TreeRequestReply<int, int> rpc(
-      fx.hierarchy, PeerId(3), 1, /*request_bytes=*/10,
-      [](PeerId, const int& q) { return q; },
-      [](const int&) { return std::uint64_t{20}; });
-  Engine engine(fx.overlay, fx.meter);
-  engine.run(rpc, 100);
-  // 3 request hops at 10 bytes + 3 reply hops at 20 bytes.
+  (void)round_trip(fx, PeerId(3), /*request_bytes=*/10, /*pair_bytes=*/10,
+                   answer_of(2));
+  // 3 request hops at 10 bytes + 3 reply hops at 2 pairs x 10 bytes.
   EXPECT_EQ(fx.meter.total(net::TrafficCategory::kControl), 3u * 10 + 3u * 20);
 }
 
-TEST(TreeRequestReplyTest, RootRequesterIsServedLocally) {
+TEST(UnicastTest, RootRequesterIsServedLocally) {
   Fixture fx(line(3));
-  TreeRequestReply<int, int> rpc(
-      fx.hierarchy, PeerId(0), 7, 4, [](PeerId, const int& q) { return q * 2; },
-      [](const int&) { return std::uint64_t{4}; });
-  Engine engine(fx.overlay, fx.meter);
-  engine.run(rpc, 10);
-  ASSERT_TRUE(rpc.complete());
-  EXPECT_EQ(rpc.reply(), 14);
+  const RoundTrip rt = round_trip(fx, PeerId(0), 4, 4, answer_of(2));
+  EXPECT_EQ(rt.served_at, PeerId(0));
+  ASSERT_TRUE(rt.reply.has_value());
+  EXPECT_EQ(*rt.reply, answer_of(2));
   EXPECT_EQ(fx.meter.total(), 0u);
 }
 
-TEST(TreeRequestReplyTest, WorksOnRandomTreesFromAnyRequester) {
+TEST(UnicastTest, WorksOnRandomTreesFromAnyRequester) {
   Rng rng(3);
   Fixture fx(net::random_tree(60, 3, rng));
   for (std::uint32_t requester : {1u, 17u, 42u, 59u}) {
-    TreeRequestReply<std::uint32_t, std::uint32_t> rpc(
-        fx.hierarchy, PeerId(requester), requester, 4,
-        [](PeerId, const std::uint32_t& q) { return q + 1000; },
-        [](const std::uint32_t&) { return std::uint64_t{4}; });
-    Engine engine(fx.overlay, fx.meter);
-    engine.run(rpc, 200);
-    ASSERT_TRUE(rpc.complete()) << requester;
-    EXPECT_EQ(rpc.reply(), requester + 1000);
+    const RoundTrip rt =
+        round_trip(fx, PeerId(requester), 4, 4, answer_of(requester % 5));
+    EXPECT_EQ(rt.served_at, fx.hierarchy.root()) << requester;
+    ASSERT_TRUE(rt.reply.has_value()) << requester;
+    EXPECT_EQ(*rt.reply, answer_of(requester % 5));
   }
 }
 
-TEST(TreeRequestReplyTest, NonMemberRequesterRejected) {
+TEST(UnicastTest, NonMemberRequesterRejected) {
   Overlay overlay(line(4));
   overlay.fail(PeerId(3));
-  TrafficMeter meter(4);
   const Hierarchy h = build_bfs_hierarchy(overlay, PeerId(0));
-  EXPECT_THROW((TreeRequestReply<int, int>(
-                   h, PeerId(3), 1, 4, [](PeerId, const int& q) { return q; },
-                   [](const int&) { return std::uint64_t{4}; })),
-               InvalidArgument);
-}
-
-TEST(TreeRequestReplyTest, ReplyBeforeCompletionThrows) {
-  Fixture fx(line(3));
-  TreeRequestReply<int, int> rpc(
-      fx.hierarchy, PeerId(2), 1, 4, [](PeerId, const int& q) { return q; },
-      [](const int&) { return std::uint64_t{4}; });
-  EXPECT_THROW((void)rpc.reply(), InvalidArgument);
+  EXPECT_THROW(
+      RequestPhase(h, PeerId(3), 4, [](PhaseContext&, RequestMsg&&) {}),
+      InvalidArgument);
 }
 
 }  // namespace
