@@ -34,6 +34,7 @@ void PushSumGossip::on_round_begin(std::uint64_t /*round*/) {
 }
 
 void PushSumGossip::on_round(net::Context& ctx) {
+  ctx.wake_next_round();  // every peer shares once per round
   const PeerId self = ctx.self();
   if (rounds_done_ > config_.rounds) return;
 

@@ -24,6 +24,7 @@ HierarchyMaintenance::HierarchyMaintenance(const Hierarchy& initial,
 }
 
 void HierarchyMaintenance::on_round(net::Context& ctx) {
+  ctx.wake_next_round();  // heartbeats and liveness checks run every round
   const PeerId self = ctx.self();
   PeerState& st = state_[self.value()];
   const auto& neighbors = ctx.neighbors();

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -83,18 +84,20 @@ namespace nf {
 ///
 /// Copyable value type; two GroupHash instances with the same (seed, g)
 /// behave identically on every peer, which is what makes decentralized
-/// candidate materialization possible (paper §III-C).
+/// candidate materialization possible (paper §III-C). The group of an item
+/// is (hash64(item, seed) * g) >> 64; the seed half of hash64 is mixed once
+/// here, not per item.
 class GroupHash {
  public:
   GroupHash(std::uint64_t seed, std::uint32_t num_groups)
-      : seed_(seed), num_groups_(num_groups) {
+      : seed_(seed), mixed_seed_(fmix64(seed)), num_groups_(num_groups) {
     require(num_groups > 0, "GroupHash requires at least one group");
   }
 
   [[nodiscard]] GroupId group_of(ItemId item) const {
     // Multiply-shift style range reduction of the seeded hash. Using the
     // high bits via 128-bit multiply avoids modulo bias entirely.
-    const std::uint64_t h = hash64(item.value(), seed_);
+    const std::uint64_t h = fmix64(item.value() ^ mixed_seed_);
     const auto g = static_cast<std::uint32_t>(
         (static_cast<__uint128_t>(h) * num_groups_) >> 64);
     return GroupId(g);
@@ -107,6 +110,7 @@ class GroupHash {
 
  private:
   std::uint64_t seed_;
+  std::uint64_t mixed_seed_;  ///< fmix64(seed_)
   std::uint32_t num_groups_;
 };
 
@@ -135,6 +139,11 @@ class FilterBank {
   [[nodiscard]] const GroupHash& filter(std::uint32_t i) const {
     require(i < filters_.size(), "filter index out of range");
     return filters_[i];
+  }
+  /// All f filters in order — for per-item loops, which then need no
+  /// per-lookup range check.
+  [[nodiscard]] std::span<const GroupHash> filters() const {
+    return filters_;
   }
 
   /// The f groups an item belongs to, one per filter.

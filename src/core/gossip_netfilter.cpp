@@ -51,6 +51,7 @@ class MapPushSum final : public net::Protocol {
   }
 
   void on_round(net::Context& ctx) override {
+    ctx.wake_next_round();  // every peer shares once per round
     const PeerId self = ctx.self();
     if (rounds_done_ > rounds_) return;
 

@@ -108,12 +108,12 @@ std::uint64_t HeavyGroupSet::total() const {
   return t;
 }
 
-bool HeavyGroupSet::passes(ItemId item, const FilterBank& bank) const {
-  for (std::uint32_t i = 0; i < bank.num_filters(); ++i) {
-    const GroupId group = bank.filter(i).group_of(item);
-    if (!heavy[i][group.value()]) return false;
-  }
-  return true;
+bool HeavyGroupSet::matches(const FilterBank& bank) const {
+  if (heavy.size() != bank.num_filters()) return false;
+  return std::all_of(heavy.begin(), heavy.end(),
+                     [g = bank.num_groups()](const std::vector<bool>& row) {
+                       return row.size() == g;
+                     });
 }
 
 net::Bytes encode_heavy_groups(const HeavyGroupSet& heavy) {
@@ -163,16 +163,20 @@ void NetFilter::local_group_aggregates_into(const LocalItems& items,
   ensure(out.size() == static_cast<std::size_t>(f) * g,
          "aggregate span size mismatch");
   std::fill(out.begin(), out.end(), 0);
+  // One g-wide row per filter; the size check above bounds every index.
+  const std::span<const GroupHash> filters = bank_.filters();
   for (const auto& [id, value] : items) {
-    for (std::uint32_t i = 0; i < f; ++i) {
-      const GroupId group = bank_.filter(i).group_of(id);
-      out[static_cast<std::size_t>(i) * g + group.value()] += value;
+    Value* row = out.data();
+    for (const GroupHash& filter : filters) {
+      row[filter.group_of(id).value()] += value;
+      row += g;
     }
   }
 }
 
 LocalItems NetFilter::materialize_candidates(const LocalItems& items,
                                              const HeavyGroupSet& heavy) const {
+  require(heavy.matches(bank_), "heavy group set does not match the bank");
   LocalItems out = items;
   out.retain([&](ItemId id, Value) { return heavy.passes(id, bank_); });
   return out;

@@ -35,8 +35,19 @@ struct HeavyGroupSet {
   /// Σ_f w_f — total heavy groups across filters (what Fig 5(a)/6(a) plot).
   [[nodiscard]] std::uint64_t total() const;
 
-  /// True iff every one of the item's f groups is heavy.
-  [[nodiscard]] bool passes(ItemId item, const FilterBank& bank) const;
+  /// True iff the set has one row per filter of `bank`, each g groups
+  /// wide: the shape passes() reads.
+  [[nodiscard]] bool matches(const FilterBank& bank) const;
+
+  /// True iff every one of the item's f groups is heavy. Requires
+  /// matches(bank), which callers check once per item set, not per item.
+  [[nodiscard]] bool passes(ItemId item, const FilterBank& bank) const {
+    const std::vector<bool>* row = heavy.data();
+    for (const GroupHash& filter : bank.filters()) {
+      if (!(*row++)[filter.group_of(item).value()]) return false;
+    }
+    return true;
+  }
 };
 
 /// Arena-backed Phase-2 candidate rows: peer p's materialized candidates
@@ -61,9 +72,11 @@ class CandidateRows {
   }
 
   /// Writes the entries of `local` that pass `heavy` under `bank` into
-  /// p's row (runs on the shard that owns p).
+  /// p's row (runs on the shard that owns p). Throws InvalidArgument if
+  /// `heavy` does not match the bank's f×g shape.
   void materialize(PeerId p, const LocalItems& local,
                    const HeavyGroupSet& heavy, const FilterBank& bank) {
+    require(heavy.matches(bank), "heavy group set does not match the bank");
     std::size_t w = offsets_[p.value()];
     for (const auto& [id, value] : local) {
       if (heavy.passes(id, bank)) slab_[w++] = {id, value};
@@ -168,7 +181,8 @@ class NetFilter {
                                    std::span<Value> out) const;
 
   /// The candidates visible in one local item set given the heavy bitmap —
-  /// what each peer materializes in phase 2 (Algorithm 2, line 2).
+  /// what each peer materializes in phase 2 (Algorithm 2, line 2). Throws
+  /// InvalidArgument if `heavy` does not match the bank's f×g shape.
   [[nodiscard]] LocalItems materialize_candidates(
       const LocalItems& items, const HeavyGroupSet& heavy) const;
 

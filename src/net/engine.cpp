@@ -30,8 +30,10 @@ bool Context::is_alive(PeerId p) const {
 
 PayloadWriter Context::flat_payload() {
   ensure(slab_ != nullptr, "no slab bound to this context");
-  return PayloadWriter(*slab_, slab_id_);
+  return PayloadWriter(*slab_, shard_);
 }
+
+void Context::wake_next_round() { engine_.queue_wake(shard_, self_); }
 
 std::span<const std::uint8_t> Context::payload_bytes(
     const Envelope& env) const {
@@ -323,13 +325,19 @@ void Engine::predispatch(std::vector<Outgoing>& inbox, const ShardPlan& plan) {
 }
 
 void Engine::run_shard(Protocol& protocol, std::uint32_t shard,
-                       const ShardPlan& plan, std::uint64_t tick_base) {
+                       std::uint64_t tick_base) {
   // Busy wall time is written only to this shard's own slot, so workers
   // never race; the engine thread folds the slots into gauges after the
   // dispatch barrier.
   obs::WallTime t0;
   if (obs_ != nullptr) t0 = obs::wall_now();
   ShardScratch& sc = shards_[shard];
+  // This round ticks the peers queued last round; wake requests made from
+  // here on queue for the next. Swapping keeps both lists' capacity.
+  std::swap(sc.ticks, sc.wake);
+  sc.wake.clear();
+  for (const PeerId p : sc.ticks) wake_queued_[p] = false;
+  std::sort(sc.ticks.begin(), sc.ticks.end());
   for (Delivery& d : sc.inq) {
     if (obs_ != nullptr) obs_delivered_->add(1);
     Context ctx(*this, d.out.envelope.to, &sc.outbox, &shard_slabs_[shard],
@@ -337,15 +345,21 @@ void Engine::run_shard(Protocol& protocol, std::uint32_t shard,
                 /*cause=*/d.out.envelope.lineage);
     protocol.on_message(ctx, std::move(d.out.envelope));
   }
-  for (std::uint32_t peer = plan.begin(shard); peer < plan.end(shard);
-       ++peer) {
-    if (!overlay_.is_alive(PeerId(peer))) continue;
-    Context ctx(*this, PeerId(peer), &sc.outbox, &shard_slabs_[shard], shard,
-                /*major=*/tick_base + peer, /*first_minor=*/0,
+  for (const PeerId peer : sc.ticks) {
+    if (!overlay_.is_alive(peer)) continue;
+    Context ctx(*this, peer, &sc.outbox, &shard_slabs_[shard], shard,
+                /*major=*/tick_base + peer.value(), /*first_minor=*/0,
                 /*cause=*/obs::kNoLineage);
     protocol.on_round(ctx);
   }
   if (obs_ != nullptr) shard_busy_us_[shard] += obs::elapsed_us(t0);
+}
+
+void Engine::queue_wake(std::uint32_t shard, PeerId peer) {
+  if (wake_queued_[peer]) return;
+  wake_queued_[peer] = true;
+  // Reserved to the shard's peer range and duplicate-free: never grows.
+  shards_[shard].wake.push_back(peer);
 }
 
 void Engine::admit(Outgoing&& out, std::span<const std::uint8_t> flat_bytes) {
@@ -610,8 +624,8 @@ std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
   // can heap-allocate, which the steady-state gate would count.
   std::function<void(std::uint32_t)> shard_task;
   if (pool_ != nullptr && plan.num_shards() > 1) {
-    shard_task = [this, &protocol, &plan](std::uint32_t k) {
-      run_shard(protocol, k, plan, tick_base_);
+    shard_task = [this, &protocol](std::uint32_t k) {
+      run_shard(protocol, k, tick_base_);
     };
   }
   if (obs_ != nullptr) {
@@ -629,6 +643,20 @@ std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
       obs_shard_idle_.push_back(&obs_->registry.gauge(base + "idle_us"));  // nf-lint: nf-obs-context-ok
     }
     shard_busy_us_.assign(plan.num_shards(), 0);
+  }
+  // The first round ticks every peer: each run starts with every peer
+  // queued. Both lists are reserved to the shard's range, so a push never
+  // allocates.
+  wake_queued_.assign(overlay_.num_peers(), true);
+  for (std::uint32_t k = 0; k < plan.num_shards(); ++k) {
+    ShardScratch& sc = shards_[k];
+    sc.ticks.clear();
+    sc.ticks.reserve(plan.end(k) - plan.begin(k));
+    sc.wake.clear();
+    sc.wake.reserve(plan.end(k) - plan.begin(k));
+    for (std::uint32_t p = plan.begin(k); p < plan.end(k); ++p) {
+      sc.wake.push_back(PeerId(p));
+    }
   }
   if (lossy_) {
     pending_by_sender_.resize(overlay_.num_peers());
@@ -663,7 +691,13 @@ std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
       for (const auto& event : schedule->events_at(round_)) {
         switch (event.type) {
           case ChurnEventType::kFail: overlay_.fail(event.peer); break;
-          case ChurnEventType::kJoin: overlay_.revive(event.peer); break;
+          case ChurnEventType::kJoin:
+            // A revived peer is ticked in its revival round.
+            if (!overlay_.is_alive(event.peer)) {
+              queue_wake(plan.shard_of(event.peer), event.peer);
+            }
+            overlay_.revive(event.peer);
+            break;
         }
       }
     }
@@ -693,7 +727,7 @@ std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
       pool_->dispatch(plan.num_shards(), shard_task);
     } else {
       for (std::uint32_t k = 0; k < plan.num_shards(); ++k) {
-        run_shard(protocol, k, plan, tick_base_);
+        run_shard(protocol, k, tick_base_);
       }
     }
     if (obs_ != nullptr) {

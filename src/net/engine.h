@@ -4,8 +4,9 @@
 // evaluating P2P aggregation protocols: a message sent in round r is
 // delivered at the start of round r+1 (or later under the latency model) if
 // its destination is then alive. Protocols are state machines over peers:
-// the engine calls `on_round(ctx)` once per alive peer per round and
-// `on_message(ctx, env)` for each delivered envelope. A run drives exactly
+// the engine calls `on_message(ctx, env)` for each delivered envelope and
+// `on_round(ctx)` only for peers with work — the tick rule below — so a
+// round costs what its active peers do, not N. A run drives exactly
 // one protocol; components that must run side by side (several queries, or
 // the phases of one) are multiplexed as phases of one SessionMux
 // (net/session.h), which routes envelopes by their (session, phase) tags.
@@ -19,6 +20,13 @@
 //   4. barrier merge: order every send by its
 //      canonical key, then charge the meter
 //      and admit it to the network            (engine thread)
+//
+// Tick rule: in round r an alive peer gets on_round iff r is the run's
+// first round, or the peer called Context::wake_next_round() in round r-1,
+// or the ChurnSchedule revived it at r. Each shard keeps one wake list,
+// sorted by peer before its ticks run, so ticks still go in peer order with
+// major key `inbox size + peer`. A protocol that polls re-arms with one
+// wake_next_round() call at the top of its on_round.
 //
 // Determinism contract: a K-shard run is bit-identical to the serial run —
 // same envelope stream, same meter totals, same protocol results. The
@@ -40,6 +48,7 @@
 #include <span>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/capability.h"
 #include "common/ids.h"
 #include "common/rng.h"
@@ -88,6 +97,12 @@ class Context {
   NF_REENTRANT [[nodiscard]] const Overlay& overlay() const;
   NF_REENTRANT [[nodiscard]] const std::vector<PeerId>& neighbors() const;
   NF_REENTRANT [[nodiscard]] bool is_alive(PeerId p) const;
+
+  /// Asks for an on_round tick of this peer in the next round (if it is
+  /// still alive then). Callable from any callback; repeated calls in one
+  /// round yield one tick. This is how a protocol keeps polling — without
+  /// it a peer is ticked only in the run's first round and on revival.
+  NF_REENTRANT void wake_next_round();
 
   /// Lineage id of the delivered message this callback is handling, or
   /// kNoLineage for round ticks (and runs without an obs context). Sends
@@ -168,13 +183,13 @@ class Context {
   };
 
   Context(Engine& engine, PeerId self, std::vector<KeyedSend>* outbox,
-          SlabArena* slab, std::uint32_t slab_id, std::uint64_t major,
+          SlabArena* slab, std::uint32_t shard, std::uint64_t major,
           std::uint32_t first_minor, obs::LineageId cause)
       : engine_(engine),
         self_(self),
         outbox_(outbox),
         slab_(slab),
-        slab_id_(slab_id),
+        shard_(shard),
         major_(major),
         next_minor_(first_minor),
         cause_(cause) {}
@@ -189,7 +204,7 @@ class Context {
   PeerId self_;
   std::vector<KeyedSend>* outbox_;
   SlabArena* slab_;
-  std::uint32_t slab_id_;
+  std::uint32_t shard_;  ///< executing shard; also its outbox slab's id
   std::uint64_t major_;
   std::uint32_t next_minor_;
   obs::LineageId cause_ = obs::kNoLineage;
@@ -216,7 +231,10 @@ class Protocol {
   /// must not live in per-peer callbacks (e.g. a gossip round counter).
   NF_ENGINE_THREAD virtual void on_round_begin(std::uint64_t /*round*/) {}
 
-  /// Called once per alive peer per round, after message delivery.
+  /// Called after message delivery for each alive peer the tick rule
+  /// selects (see the header comment): every peer in the run's first round,
+  /// then only peers that called Context::wake_next_round() the round
+  /// before or that churn revived this round.
   NF_SHARD_CONTEXT virtual void on_round(Context& /*ctx*/) {}
 
   /// Called for each envelope delivered to an alive peer.
@@ -373,13 +391,21 @@ class Engine {
   struct ShardScratch {
     std::vector<Delivery> inq;
     std::vector<Context::KeyedSend> outbox;
+    /// Peers to tick next round: wake requests made this round plus churn
+    /// revivals (at run start: every peer of the shard). Reserved to the
+    /// shard's peer range; the per-peer queued flag keeps it duplicate-free,
+    /// so a push never allocates.
+    std::vector<PeerId> wake;
+    /// This round's ticks: last round's `wake`, swapped in and sorted.
+    std::vector<PeerId> ticks;
   };
 
   NF_ENGINE_THREAD void predispatch(std::vector<Outgoing>& inbox,
                                     const ShardPlan& plan);
   NF_SHARD_CONTEXT void run_shard(Protocol& protocol, std::uint32_t shard,
-                                  const ShardPlan& plan,
                                   std::uint64_t tick_base);
+  /// Queues `peer` (owned by `shard`) for a tick next round, once.
+  NF_REENTRANT void queue_wake(std::uint32_t shard, PeerId peer);
   NF_ENGINE_THREAD NF_STEADY_NOALLOC void merge_and_finalize();
   /// `flat_bytes` is the payload span to copy into the destination ring
   /// slot (empty unless out.envelope.flat is valid).
@@ -441,6 +467,10 @@ class Engine {
   std::vector<Context::KeyedSend> engine_sends_;  // ACKs, this round
   std::vector<Context::KeyedSend> merge_scratch_;
   std::uint64_t tick_base_ = 0;  // this round's inbox size, for tick majors
+  /// Per peer: already in its shard's wake list. Written only by the
+  /// owning shard (and by the engine thread for churn revivals, before the
+  /// shards run).
+  PeerArena<bool> wake_queued_;
 
   // Flat-payload slabs (net/payload.h), all high-water-mark reset so the
   // steady state never reallocates. Shard slabs hold payloads written

@@ -14,8 +14,9 @@
 //
 // Phase lifecycle at one peer: closed -> open (on_start fires exactly once)
 // -> handling on_message/on_round callbacks. Opening happens through one of
-//   - PhaseStart::kAllPeers: the mux opens the phase at every alive peer on
-//     its first tick (entry phases);
+//   - PhaseStart::kAllPeers: the mux opens the phase at a peer on the
+//     peer's first tick of the run, or on its revival tick if it was dead
+//     at the start (entry phases);
 //   - an earlier phase calling PhaseContext::open_phase() from a callback
 //     (the per-peer transition edge);
 //   - a tagged message arriving for a closed phase with open_on_message
@@ -25,7 +26,10 @@
 //     that must initialize local state before merging children).
 // done() is a session-global predicate (e.g. "root merged all children");
 // the mux keeps the engine alive until every phase of every session is
-// done.
+// done. The mux follows the engine's tick rule (net/engine.h): a peer is
+// ticked in the run's first round and afterwards only when a phase there
+// asked for it with PhaseContext::wake_next_round(), so idle peers cost
+// nothing per round.
 //
 // Shard safety: the per-peer open flags and buffers live in byte/slot
 // arenas touched only by the owning peer's callbacks; per-session traffic
@@ -58,7 +62,8 @@ class Phase;
 
 /// How a phase opens at a peer when nothing opened it explicitly.
 enum class PhaseStart : std::uint8_t {
-  /// Opened at every alive peer by the mux's first on_round tick.
+  /// Opened at a peer by its first on_round tick of the run: round 0 for a
+  /// peer alive then, its revival round for one that was dead.
   kAllPeers,
   /// Stays closed until open_phase() or (with open_on_message) a message.
   kOnDemand,
@@ -116,6 +121,12 @@ class PhaseContext {
   }
   NF_REENTRANT [[nodiscard]] SessionId session() const { return session_; }
   NF_REENTRANT [[nodiscard]] PhaseId phase() const { return phase_; }
+
+  /// Asks the engine to tick this peer next round (Context::
+  /// wake_next_round()). The tick runs on_round of every open, not-done
+  /// phase at the peer; a phase that needs on_round re-arms from on_start
+  /// and from each on_round.
+  NF_REENTRANT void wake_next_round() { ctx_.wake_next_round(); }
 
   /// Lineage id of the message whose arrival triggered this callback, or
   /// kNoLineage for round-originated work. During buffered replay this is
@@ -196,8 +207,11 @@ class Phase {
   /// Fires exactly once per peer, when the phase opens there.
   NF_SHARD_CONTEXT virtual void on_start(PhaseContext& /*ctx*/) {}
 
-  /// Called once per alive peer per round while the phase is open at that
-  /// peer and not done. Most event-driven phases need no tick.
+  /// Called at each tick of an alive peer (net/engine.h's tick rule) while
+  /// the phase is open there and not done. Ticks are not periodic: after
+  /// the run's first round a peer is ticked only if something at it called
+  /// PhaseContext::wake_next_round() the round before (or churn revived
+  /// it). Most event-driven phases need no tick.
   NF_SHARD_CONTEXT virtual void on_round(PhaseContext& /*ctx*/) {}
 
   /// Called for each envelope tagged with this phase.

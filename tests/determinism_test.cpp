@@ -19,6 +19,8 @@
 #include "agg/flat_phases.h"
 #include "agg/hierarchy.h"
 #include "agg/multi_hierarchy.h"
+#include "common/arena.h"
+#include "common/hashing.h"
 #include "core/gossip_netfilter.h"
 #include "core/host_report.h"
 #include "core/netfilter.h"
@@ -810,6 +812,84 @@ TEST(DeterminismTest, GossipNetFilterMatchesSerial) {
       EXPECT_EQ(v, it->second);
       ++it;
     }
+  }
+}
+
+/// Peers tick only on request. A ticked peer sends one message to a
+/// hash-chosen neighbour and re-arms for a few peer-dependent rounds; a
+/// receipt wakes the receiver for the next round a third of the time. Wake
+/// requests thus come from both callbacks, cross shard boundaries with the
+/// traffic, and coalesce when several land on one peer.
+class WakeDrivenProtocol final : public net::Protocol {
+ public:
+  void on_run_start(const Overlay& overlay) override {
+    rearms_.assign(overlay.num_peers(), 0);
+    ticks_.assign(overlay.num_peers(), 0);
+  }
+  void on_round(net::Context& ctx) override {
+    const PeerId self = ctx.self();
+    ++ticks_[self];
+    const auto& nb = ctx.neighbors();
+    const std::uint64_t draw = hash64(ctx.round(), self.value());
+    ctx.send(nb[draw % nb.size()], TrafficCategory::kControl,
+             4 + self.value() % 3);
+    if (rearms_[self] < self.value() % 4) {
+      ++rearms_[self];
+      ctx.wake_next_round();
+    }
+  }
+  void on_message(net::Context& ctx, Envelope&& /*env*/) override {
+    if (hash64(ctx.round(), ctx.self().value() + 0x5EEDull) % 3 == 0) {
+      ctx.wake_next_round();
+    }
+  }
+  [[nodiscard]] std::vector<std::uint32_t> ticks() const {
+    return {ticks_.begin(), ticks_.end()};
+  }
+
+ private:
+  PeerArena<std::uint32_t> rearms_;
+  PeerArena<std::uint32_t> ticks_;
+};
+
+TEST(DeterminismTest, WakeDrivenTicksMatchSerial) {
+  const TestWorld world = TestWorld::make();
+  const auto run_at = [&](std::uint32_t threads) {
+    TrafficMeter meter(kPeers);
+    Overlay overlay = world.overlay;
+    Engine engine(overlay, meter);
+    engine.set_threads(threads);
+    RunTrace trace;
+    engine.set_send_probe([&trace](const Envelope& env) {
+      trace.sends.emplace_back(env.from.value(), env.to.value(),
+                               static_cast<int>(env.category), env.bytes);
+    });
+    // Churn crosses shards too: revived peers are ticked on revival.
+    net::ChurnSchedule churn;
+    for (const std::uint32_t p : {7u, 29u, 44u}) {
+      churn.fail_at(2, PeerId(p));
+      churn.join_at(5, PeerId(p));
+    }
+    WakeDrivenProtocol proto;
+    trace.rounds = engine.run(proto, 500, &churn);
+    for (std::size_t c = 0; c < net::kNumTrafficCategories; ++c) {
+      trace.totals[c] = meter.total(static_cast<TrafficCategory>(c));
+    }
+    trace.num_messages = meter.num_messages();
+    return std::make_pair(std::move(trace), proto.ticks());
+  };
+
+  const auto [serial, serial_ticks] = run_at(1);
+  // The run must actually be wake-driven: more than the first round's
+  // ticks, and far fewer than rounds x peers.
+  std::uint64_t total_ticks = 0;
+  for (const std::uint32_t t : serial_ticks) total_ticks += t;
+  EXPECT_GT(total_ticks, std::uint64_t{kPeers});
+  EXPECT_LT(total_ticks, serial.rounds * kPeers / 2);
+  for (const std::uint32_t k : {2u, 4u}) {
+    const auto [sharded, sharded_ticks] = run_at(k);
+    expect_identical(serial, sharded, k);
+    EXPECT_EQ(serial_ticks, sharded_ticks);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace nf::net {
@@ -121,7 +122,10 @@ TEST(EngineTest, RespectsMaxRounds) {
   /// A protocol that stays active forever.
   class Forever final : public Protocol {
    public:
-    void on_round(Context&) override { ++ticks; }
+    void on_round(Context& ctx) override {
+      ctx.wake_next_round();
+      ++ticks;
+    }
     [[nodiscard]] bool active() const override { return true; }
     int ticks = 0;
   };
@@ -132,6 +136,117 @@ TEST(EngineTest, RespectsMaxRounds) {
   const std::uint64_t rounds = engine.run(forever, 7);
   EXPECT_EQ(rounds, 7u);
   EXPECT_EQ(forever.ticks, 7);
+}
+
+using Ticks = std::vector<std::pair<std::uint64_t, std::uint32_t>>;
+
+/// Records every tick as (round, peer). Peers in `wakers` ask for another
+/// tick (twice per tick, to check that requests coalesce) until round
+/// `wake_until`. Stays active, so a run lasts exactly max_rounds.
+class TickRecorder final : public Protocol {
+ public:
+  explicit TickRecorder(std::vector<PeerId> wakers = {},
+                        std::uint64_t wake_until = 0)
+      : wakers_(std::move(wakers)), wake_until_(wake_until) {}
+
+  void on_round(Context& ctx) override {
+    ticks.emplace_back(ctx.round(), ctx.self().value());
+    if (ctx.round() >= wake_until_) return;
+    for (const PeerId w : wakers_) {
+      if (w != ctx.self()) continue;
+      ctx.wake_next_round();
+      ctx.wake_next_round();
+    }
+  }
+  [[nodiscard]] bool active() const override { return true; }
+
+  Ticks ticks;
+
+ private:
+  std::vector<PeerId> wakers_;
+  std::uint64_t wake_until_;
+};
+
+TEST(EngineTest, NeverWakingProtocolIsTickedOnlyInTheFirstRound) {
+  Overlay overlay = make_line(5);
+  overlay.fail(PeerId(2));
+  TrafficMeter meter(5);
+  Engine engine(overlay, meter);
+  TickRecorder rec;
+  EXPECT_EQ(engine.run(rec, 6), 6u);
+  // Once per alive peer, in round 0, in peer order; never again.
+  EXPECT_EQ(rec.ticks, (Ticks{{0, 0}, {0, 1}, {0, 3}, {0, 4}}));
+}
+
+TEST(EngineTest, WakeRequestsInOneRoundYieldOneTick) {
+  /// Peer 1 is woken twice from on_round and once more from on_message
+  /// (peer 0's round-0 send lands in round 1) — all for the same round.
+  class Waker final : public Protocol {
+   public:
+    void on_round(Context& ctx) override {
+      ticks.emplace_back(ctx.round(), ctx.self().value());
+      if (ctx.self() != PeerId(1)) {
+        if (ctx.round() == 0) {
+          ctx.send(PeerId(1), TrafficCategory::kControl, 4, std::any(1));
+        }
+        return;
+      }
+      if (ctx.round() < 2) {
+        ctx.wake_next_round();
+        ctx.wake_next_round();
+      }
+    }
+    void on_message(Context& ctx, Envelope&&) override {
+      ctx.wake_next_round();
+    }
+    [[nodiscard]] bool active() const override { return true; }
+    Ticks ticks;
+  };
+  Overlay overlay = make_line(2);
+  TrafficMeter meter(2);
+  Engine engine(overlay, meter);
+  Waker waker;
+  (void)engine.run(waker, 5);
+  EXPECT_EQ(waker.ticks, (Ticks{{0, 0}, {0, 1}, {1, 1}, {2, 1}}));
+}
+
+TEST(EngineTest, WakeRequestsDriveTicksUntilTheyStop) {
+  Overlay overlay = make_line(4);
+  TrafficMeter meter(4);
+  Engine engine(overlay, meter);
+  TickRecorder rec({PeerId(3), PeerId(1)}, /*wake_until=*/2);
+  (void)engine.run(rec, 5);
+  EXPECT_EQ(rec.ticks, (Ticks{{0, 0}, {0, 1}, {0, 2}, {0, 3},  // first round
+                              {1, 1}, {1, 3},                  // woken
+                              {2, 1}, {2, 3}}));               // last wake
+}
+
+TEST(EngineTest, RevivedPeerIsTickedInItsRevivalRound) {
+  Overlay overlay = make_line(3);
+  overlay.fail(PeerId(2));
+  TrafficMeter meter(3);
+  Engine engine(overlay, meter);
+  ChurnSchedule churn;
+  churn.join_at(3, PeerId(2));  // dead from the start
+  churn.fail_at(1, PeerId(0));  // dies mid-run...
+  churn.join_at(4, PeerId(0));  // ...and comes back
+  churn.join_at(2, PeerId(1));  // already alive: not a revival
+  TickRecorder rec;
+  (void)engine.run(rec, 6, &churn);
+  EXPECT_EQ(rec.ticks, (Ticks{{0, 0}, {0, 1}, {3, 2}, {4, 0}}));
+}
+
+TEST(EngineTest, EveryRunStartsByTickingEveryAlivePeer) {
+  Overlay overlay = make_line(3);
+  TrafficMeter meter(3);
+  Engine engine(overlay, meter);
+  // The first run ends with a wake request still queued; the second run
+  // starts from a clean slate: all alive peers, once each.
+  TickRecorder first({PeerId(1)}, /*wake_until=*/100);
+  (void)engine.run(first, 2);
+  TickRecorder second;
+  (void)engine.run(second, 3);
+  EXPECT_EQ(second.ticks, (Ticks{{2, 0}, {2, 1}, {2, 2}}));
 }
 
 TEST(EngineTest, RoundCounterAdvancesAcrossRuns) {

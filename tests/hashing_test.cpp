@@ -87,6 +87,40 @@ TEST(GroupHashTest, RoughlyBalancedBuckets) {
   }
 }
 
+TEST(GroupHashTest, MatchesPinnedReferenceValues) {
+  // Peers agree on filters without coordination, so the (seed, g, item) ->
+  // group map is part of the protocol: a silent remap would split peers
+  // that run different builds. Each value is
+  // (fmix64(item ^ fmix64(seed)) * g) >> 64, i.e. hash64 range-reduced.
+  struct Pinned {
+    std::uint64_t seed;
+    std::uint32_t num_groups;
+    std::uint64_t item;
+    std::uint32_t group;
+  };
+  constexpr Pinned kPinned[] = {
+      {0ull, 1, 0ull, 0},
+      {0ull, 300, 1ull, 211},
+      {1ull, 300, 42ull, 70},
+      {42ull, 50, 123456789ull, 2},
+      {0xACC1DE57ull, 1000, 0xFFFFFFFFFFFFFFFFull, 465},
+      {7ull, 65536, 99ull, 28234},
+      {0x9E3779B97F4A7C15ull, 3, 2024ull, 1},
+      {123ull, 10, 0xDEADBEEFull, 3},
+  };
+  for (const Pinned& p : kPinned) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << p.seed
+                                      << " g=" << p.num_groups
+                                      << " item=" << p.item);
+    const GroupHash h(p.seed, p.num_groups);
+    EXPECT_EQ(h.group_of(ItemId(p.item)).value(), p.group);
+    const auto reference = static_cast<std::uint32_t>(
+        (static_cast<__uint128_t>(hash64(p.item, p.seed)) * p.num_groups) >>
+        64);
+    EXPECT_EQ(reference, p.group);
+  }
+}
+
 TEST(FilterBankTest, DerivesIndependentFilters) {
   const FilterBank bank(42, 4, 50);
   ASSERT_EQ(bank.num_filters(), 4u);

@@ -231,6 +231,35 @@ TEST(NetFilterTest, MaterializeCandidatesHonorsAllFilters) {
   }
 }
 
+TEST(NetFilterTest, MaterializeRejectsMismatchedHeavySet) {
+  // passes() reads heavy[i][group] for every filter of the bank; a set of
+  // another shape would be an out-of-bounds read, so both materializers
+  // check the shape once per call.
+  Rig rig(20, 1000, 1.0, 21);
+  const NetFilter nf(config(8, 2));
+  const auto& items = rig.workload.local_items(PeerId(5));
+  HeavyGroupSet too_few_rows;
+  too_few_rows.heavy = {std::vector<bool>(8, true)};
+  HeavyGroupSet short_row;
+  short_row.heavy = {std::vector<bool>(8, true), std::vector<bool>(3, true)};
+  HeavyGroupSet too_many_rows;
+  too_many_rows.heavy.assign(3, std::vector<bool>(8, true));
+  CandidateRows rows;
+  rows.configure(rig.workload);
+  for (const HeavyGroupSet* bad : {&too_few_rows, &short_row,
+                                   &too_many_rows}) {
+    EXPECT_FALSE(bad->matches(nf.bank()));
+    EXPECT_THROW((void)nf.materialize_candidates(items, *bad),
+                 InvalidArgument);
+    EXPECT_THROW(rows.materialize(PeerId(5), items, *bad, nf.bank()),
+                 InvalidArgument);
+  }
+  HeavyGroupSet good;
+  good.heavy.assign(2, std::vector<bool>(8, true));
+  EXPECT_TRUE(good.matches(nf.bank()));
+  EXPECT_EQ(nf.materialize_candidates(items, good), items);
+}
+
 TEST(NetFilterTest, InvalidInputsThrow) {
   Rig rig(10, 100, 1.0, 23);
   EXPECT_THROW(NetFilter(config(0, 1)), InvalidArgument);

@@ -157,10 +157,12 @@ class DriverPhase final : public TypedPhase<std::uint32_t> {
       : sink_(sink), sink_pid_(sink_pid) {}
 
   void on_start(PhaseContext& ctx) override {
+    ctx.wake_next_round();
     if (ctx.self() == PeerId(0)) ctx.open_phase(sink_pid_);
   }
 
   void on_round(PhaseContext& ctx) override {
+    ctx.wake_next_round();
     if (ctx.self() == PeerId(1) && ctx.round() == 3) {
       ctx.open_phase(sink_pid_);
       sink_.finish();
@@ -233,6 +235,102 @@ TEST(SessionMuxTest, OpenOnMessageDeliversImmediately) {
   EXPECT_TRUE(mux.all_done());
   ASSERT_EQ(sink.seen().size(), 1u);
   EXPECT_EQ(sink.seen()[0].second, 1u);
+}
+
+/// Forwards to a mux and counts the engine's on_round calls into it.
+class CountingProtocol final : public Protocol {
+ public:
+  explicit CountingProtocol(SessionMux& mux) : mux_(mux) {}
+
+  void on_run_start(const Overlay& overlay) override {
+    mux_.on_run_start(overlay);
+  }
+  void on_round_begin(std::uint64_t round) override {
+    mux_.on_round_begin(round);
+  }
+  void on_round(Context& ctx) override {
+    ++on_round_calls;
+    mux_.on_round(ctx);
+  }
+  void on_message(Context& ctx, Envelope&& env) override {
+    mux_.on_message(ctx, std::move(env));
+  }
+  void on_run_end() override { mux_.on_run_end(); }
+  [[nodiscard]] bool active() const override { return mux_.active(); }
+
+  std::uint64_t on_round_calls = 0;
+
+ private:
+  SessionMux& mux_;
+};
+
+TEST(SessionMuxTest, WithoutWakeRequestsEachAlivePeerIsTickedOnce) {
+  // A loss-free relay: no phase asks for a tick, so the engine ticks each
+  // alive peer once (round 0, opening the kAllPeers phase), not once per
+  // round of the run.
+  Overlay overlay = line_overlay();
+  TrafficMeter meter(kPeers);
+  SessionMux mux;
+  RelayPhase relay(5);
+  PhaseOptions opts;
+  opts.start = PhaseStart::kAllPeers;
+  (void)mux.add_phase(mux.add_session(), relay, opts);
+  CountingProtocol counting(mux);
+
+  Engine engine(overlay, meter);
+  const std::uint64_t rounds = engine.run(counting, 100);
+
+  EXPECT_TRUE(mux.all_done());
+  EXPECT_EQ(relay.received(), 5u);
+  EXPECT_GE(rounds, kPeers - 1);
+  EXPECT_EQ(counting.on_round_calls, std::uint64_t{kPeers});
+}
+
+/// Records the round the phase opened at each peer; done once it opened at
+/// every peer.
+class OpenRecorderPhase final : public TypedPhase<std::uint32_t> {
+ public:
+  OpenRecorderPhase() : opened_round_(kPeers, -1) {}
+
+  void on_start(PhaseContext& ctx) override {
+    opened_round_[ctx.self().value()] = static_cast<std::int64_t>(ctx.round());
+    opened_.fetch_add(1, std::memory_order_relaxed);
+  }
+  [[nodiscard]] bool done() const override {
+    return opened_.load(std::memory_order_relaxed) == kPeers;
+  }
+  [[nodiscard]] const std::vector<std::int64_t>& opened_round() const {
+    return opened_round_;
+  }
+
+ protected:
+  void on_payload(PhaseContext& /*ctx*/, std::uint32_t&& /*v*/,
+                  PeerId /*from*/) override {}
+
+ private:
+  std::vector<std::int64_t> opened_round_;
+  std::atomic<std::uint32_t> opened_{0};
+};
+
+TEST(SessionMuxTest, AllPeersPhaseOpensWhenADeadPeerRevives) {
+  Overlay overlay = line_overlay();
+  overlay.fail(PeerId(5));
+  TrafficMeter meter(kPeers);
+  SessionMux mux;
+  OpenRecorderPhase phase;
+  PhaseOptions opts;
+  opts.start = PhaseStart::kAllPeers;
+  (void)mux.add_phase(mux.add_session(), phase, opts);
+  ChurnSchedule churn;
+  churn.join_at(4, PeerId(5));
+
+  Engine engine(overlay, meter);
+  (void)engine.run(mux, 100, &churn);
+
+  EXPECT_TRUE(mux.all_done());
+  for (std::uint32_t p = 0; p < kPeers; ++p) {
+    EXPECT_EQ(phase.opened_round()[p], p == 5 ? 4 : 0) << "peer " << p;
+  }
 }
 
 TEST(SessionMuxTest, RejectsUnknownSessionIds) {
