@@ -17,12 +17,14 @@
 // per-peer trigger that lets the next phase start there without a global
 // barrier.
 //
-// State layout (DESIGN.md §6f): FlatAggregateConvergecastPhase keeps the
-// per-peer f×g group sums in one contiguous PeerRowArena<u64> — peer-major
-// rows, so a merge is a contiguous column add into the parent's row — and
-// decomposes the per-peer bookkeeping (pending counts, sent flags, causal
-// parents) into dense parallel arenas instead of a per-peer struct with
-// owning members.
+// State layout (DESIGN.md §6f): FlatAggregateConvergecastPhase keeps f×g
+// group sums only where children merge — the root and members with
+// downstream peers — in one contiguous PeerRowArena<u64>, so a merge is a
+// contiguous column add into the parent's row. A leaf sums into its
+// shard's scratch row and encodes straight from it, so the arena holds
+// O(internal members) rows, not O(N). The per-peer bookkeeping (row index,
+// pending counts, sent flags, causal parents) lives in dense parallel
+// arenas instead of a per-peer struct with owning members.
 //
 // Wire-size charging: pass `flat_bytes != 0` to charge the paper's flat
 // field model (WireModel::kFlatFields) while still shipping the encoded
@@ -55,11 +57,13 @@ namespace nf::agg {
 
 /// Bottom-up sum of fixed-width aggregate vectors (paper §III-A.2, the f×g
 /// group sums of netFilter phase 1), flat on the wire and SoA in memory.
-/// Shard-safe: callbacks for peer p touch only p's row/slots; `complete_`
-/// has a single writer (the root's shard) and is read at the barrier.
+/// Shard-safe: callbacks for peer p touch only p's row/slots and the
+/// executing shard's scratch row; `complete_` has a single writer (the
+/// root's shard) and is read at the barrier.
 class FlatAggregateConvergecastPhase final : public net::FlatPhase {
  public:
-  /// Fills peer p's zeroed row with its local contribution.
+  /// Overwrites every slot of the row with peer p's local contribution
+  /// (the row's prior contents are unspecified).
   using LocalFn = std::function<void(PeerId, std::span<std::uint64_t>)>;
   /// Fires at the root, inside the run, the moment the global sums are
   /// complete — the hook a downstream phase transition chains from.
@@ -87,10 +91,23 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
     on_complete_ = std::move(on_complete);
   }
 
-  void on_run_start(const net::Overlay& overlay) override {
+  void on_run_start(const net::Overlay& overlay,
+                    std::uint32_t num_shards) override {
     const auto n = overlay.num_peers();
     complete_.store(false, std::memory_order_relaxed);
-    sums_.assign(n, width_, 0);
+    // Rows only where children merge (the root and members with downstream
+    // peers); a leaf sums into its shard's scratch row and encodes from it.
+    row_of_.assign(n, kNoRow);
+    std::uint32_t rows = 0;
+    for (std::uint32_t p = 0; p < n; ++p) {
+      const PeerId id(p);
+      if (hierarchy_.is_member(id) &&
+          (id == hierarchy_.root() || !hierarchy_.downstream(id).empty())) {
+        row_of_[p] = rows++;
+      }
+    }
+    sums_.reshape(rows, width_);
+    scratch_.reshape(num_shards, width_);
     pending_.assign(n, 0);
     init_.assign(n, false);
     sent_.assign(n, false);
@@ -113,7 +130,7 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
   void on_start(net::PhaseContext& ctx) override {
     const PeerId p = ctx.self();
     if (!hierarchy_.is_member(p)) return;
-    local_(p, sums_.row(p));
+    local_(p, row(ctx));
     pending_[p] =
         static_cast<std::uint32_t>(hierarchy_.downstream(p).size());
     init_[p] = true;
@@ -129,7 +146,7 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
   /// The global sums; valid once complete().
   [[nodiscard]] std::span<const std::uint64_t> result() const {
     require(complete(), "convergecast not complete");
-    return sums_.row(hierarchy_.root());
+    return sums_.row(row_of_[hierarchy_.root()]);
   }
 
   /// Bytes this peer propagated upward (0 for the root). Valid after run.
@@ -150,14 +167,23 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
                           p.value(), sent_bytes_[p]);
     }
     // The merge: decode-accumulate into this peer's row, no intermediate
-    // vector. Column adds stay contiguous because rows are peer-major.
-    net::add_aggregates_from(bytes, sums_.row(p));
+    // vector. A peer expecting children always owns a row.
+    net::add_aggregates_from(bytes, sums_.row(row_of_[p]));
     --pending_[p];
     push_parent(p, ctx.cause());
     maybe_forward(ctx);
   }
 
  private:
+  static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
+
+  /// The executing peer's sums: its own row, or for a leaf the shard's
+  /// scratch row, which it fills and encodes within one callback.
+  std::span<std::uint64_t> row(const net::PhaseContext& ctx) {
+    const std::uint32_t r = row_of_[ctx.self()];
+    return r != kNoRow ? sums_.row(r) : scratch_.row(ctx.shard());
+  }
+
   void push_parent(PeerId p, obs::LineageId id) {
     const std::uint32_t slot = parent_offset_[p.value()] +
                                parent_count_[p]++;
@@ -170,12 +196,12 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
     if (pending_[p] != 0 || sent_[p] != 0) return;
     if (p == hierarchy_.root()) {
       complete_.store(true, std::memory_order_relaxed);
-      if (on_complete_) on_complete_(ctx, sums_.row(p));
+      if (on_complete_) on_complete_(ctx, row(ctx));
       return;
     }
     sent_[p] = true;
     net::PayloadWriter w = ctx.flat_payload();
-    net::encode_aggregates_to(w, sums_.row(p));
+    net::encode_aggregates_to(w, row(ctx));
     const net::PayloadRef ref = w.finish();
     const std::uint64_t bytes = flat_bytes_ != 0 ? flat_bytes_ : ref.length;
     sent_bytes_[p] = bytes;
@@ -196,7 +222,9 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
   CompleteFn on_complete_;
 
   // SoA per-peer state (see header comment).
+  PeerArena<std::uint32_t> row_of_;  ///< sums_ row, or kNoRow for leaves
   PeerRowArena<std::uint64_t> sums_;
+  PeerRowArena<std::uint64_t> scratch_;  ///< one row per shard
   PeerArena<std::uint32_t> pending_;
   PeerArena<bool> init_;
   PeerArena<bool> sent_;
@@ -239,7 +267,8 @@ class FlatPairsConvergecastPhase final : public net::FlatPhase {
     on_complete_ = std::move(on_complete);
   }
 
-  void on_run_start(const net::Overlay& overlay) override {
+  void on_run_start(const net::Overlay& overlay,
+                    std::uint32_t /*num_shards*/) override {
     const auto n = overlay.num_peers();
     complete_.store(false, std::memory_order_relaxed);
     acc_.assign(n, Pairs{});
@@ -386,7 +415,8 @@ class FlatMulticastPhase final : public net::FlatPhase {
     has_payload_ = true;
   }
 
-  void on_run_start(const net::Overlay& overlay) override {
+  void on_run_start(const net::Overlay& overlay,
+                    std::uint32_t /*num_shards*/) override {
     received_.assign(overlay.num_peers(), false);
     num_received_.store(0, std::memory_order_relaxed);
   }

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -82,12 +83,13 @@ class PeerArena {
   std::vector<Slot> slots_;
 };
 
-/// Dense per-peer rows of a fixed width in one contiguous buffer — the
+/// Dense rows of a fixed width in one contiguous buffer — the
 /// structure-of-arrays layout for per-peer vectors (e.g. the f×g group sums
-/// of a netFilter filtering pass). Rows are peer-major: a convergecast
-/// merge is a contiguous, SIMD-friendly column add into the parent's row,
-/// and the sharding contract holds because distinct peers own disjoint
-/// row spans (DESIGN.md §6f).
+/// of a netFilter filtering pass). The owner maps peers (or shards) to row
+/// indices, so it can keep rows only where it needs them. Rows are
+/// contiguous: a convergecast merge is a SIMD-friendly column add into the
+/// parent's row, and the sharding contract holds because distinct owners
+/// get disjoint row spans (DESIGN.md §6f).
 template <typename T>
 class PeerRowArena {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -96,38 +98,39 @@ class PeerRowArena {
  public:
   PeerRowArena() = default;
 
-  /// (Re)shape to num_peers × width, filling every slot with `init`.
-  /// Capacity is kept across assigns, so re-running a warmed phase does not
-  /// reallocate.
-  void assign(std::uint32_t num_peers, std::uint32_t width, const T& init) {
+  /// (Re)shape to num_rows × width. Contents are unspecified — no fill:
+  /// callers overwrite a row before they read it. Capacity is kept across
+  /// reshapes, so re-running a warmed phase does not reallocate.
+  void reshape(std::uint32_t num_rows, std::uint32_t width) {
+    const std::size_t size = std::size_t{num_rows} * width;
+    if (size > capacity_) {
+      slots_ = std::make_unique_for_overwrite<T[]>(size);
+      capacity_ = size;
+    }
+    size_ = size;
     width_ = width;
-    slots_.assign(std::size_t{num_peers} * width, init);
   }
 
   [[nodiscard]] std::uint32_t width() const { return width_; }
   [[nodiscard]] std::uint32_t num_rows() const {
-    return width_ == 0 ? 0
-                       : static_cast<std::uint32_t>(slots_.size() / width_);
+    return width_ == 0 ? 0 : static_cast<std::uint32_t>(size_ / width_);
   }
-  [[nodiscard]] bool empty() const { return slots_.empty(); }
 
-  [[nodiscard]] std::span<T> row(PeerId p) { return row(p.value()); }
-  [[nodiscard]] std::span<const T> row(PeerId p) const {
-    return row(p.value());
-  }
   [[nodiscard]] std::span<T> row(std::uint32_t i) {
-    ensure(std::size_t{i} * width_ + width_ <= slots_.size(),
-           "peer index out of row-arena range");
-    return {slots_.data() + std::size_t{i} * width_, width_};
+    ensure(std::size_t{i} * width_ + width_ <= size_,
+           "row index out of row-arena range");
+    return {slots_.get() + std::size_t{i} * width_, width_};
   }
   [[nodiscard]] std::span<const T> row(std::uint32_t i) const {
-    ensure(std::size_t{i} * width_ + width_ <= slots_.size(),
-           "peer index out of row-arena range");
-    return {slots_.data() + std::size_t{i} * width_, width_};
+    ensure(std::size_t{i} * width_ + width_ <= size_,
+           "row index out of row-arena range");
+    return {slots_.get() + std::size_t{i} * width_, width_};
   }
 
  private:
-  std::vector<T> slots_;
+  std::unique_ptr<T[]> slots_;
+  std::size_t capacity_ = 0;
+  std::size_t size_ = 0;
   std::uint32_t width_ = 0;
 };
 

@@ -212,14 +212,17 @@ GossipNetFilterResult GossipNetFilter::run(
   const std::uint64_t flood_before =
       meter.total(net::TrafficCategory::kDissemination);
   std::vector<ValueMap<ItemId, double>> partial(num_peers);
+  const net::Bytes heavy_encoded = encode_heavy_groups(heavy);
+  HeavySetReceipts receipts(num_peers, f, g);
+  receipts.install(heavy_encoded);
   net::FlatFloodPhase flood(
-      initiator, encode_heavy_groups(heavy),
-      heavy_total * config_.wire.group_id_bytes,
+      initiator, heavy_encoded, heavy_total * config_.wire.group_id_bytes,
       net::TrafficCategory::kDissemination, config_.flood_ttl,
       [&](net::PhaseContext& ctx, std::span<const std::uint8_t> body) {
         const PeerId p = ctx.self();
         if (!overlay.is_alive(p)) return;
-        const HeavyGroupSet received = decode_heavy_groups(body, f, g);
+        receipts.receive(p, body);
+        const HeavyGroupSet& received = receipts.of(p);
         for (const auto& [id, value] : items.local_items(p)) {
           if (received.passes(id, bank_)) {
             partial[p.value()].add(id, static_cast<double>(value));

@@ -48,8 +48,8 @@ IfiSessionPhases::IfiSessionPhases(const NetFilter& netfilter,
           hierarchy, net::TrafficCategory::kAggregation,
           /*local=*/
           [this](PeerId p) {
-            ensure(ready_[p] != 0, "peer aggregating before materialization");
-            return partial_.take(p);
+            return netfilter_.materialize_candidates(items_.local_items(p),
+                                                     received_.of(p));
           },
           /*wire_bytes=*/
           netfilter.config().wire_model == WireModel::kFlatFields
@@ -60,9 +60,9 @@ IfiSessionPhases::IfiSessionPhases(const NetFilter& netfilter,
                     })
               : agg::FlatPairsConvergecastPhase::WireBytesFn(),
           netfilter.config().obs),
-      ready_(hierarchy.num_peers(), false) {
+      received_(hierarchy.num_peers(), netfilter.config().num_filters,
+                netfilter.config().num_groups) {
   require(threshold >= 1, "threshold must be >= 1");
-  partial_.configure(items);
   filtering_.set_on_complete(
       [this](net::PhaseContext& ctx, std::span<const Value> global) {
         finish_filtering(ctx, global);
@@ -117,8 +117,10 @@ void IfiSessionPhases::finish_filtering(net::PhaseContext& ctx,
   // The wire always carries the delta-coded heavy id list; the flat model
   // charges sg per heavy group id, kVarintDelta the encoded length itself
   // (Algorithm 2, line 1). Encoded once here at the root — every forward
-  // down the tree is a span copy.
+  // down the tree is a span copy — and decoded once, before it leaves the
+  // root, for every peer that receives these bytes.
   const net::Bytes encoded = encode_heavy_groups(heavy_);
+  received_.install(encoded);
   const std::uint64_t dissemination_bytes =
       cfg.wire_model == WireModel::kFlatFields
           ? heavy_.total() * cfg.wire.group_id_bytes
@@ -127,18 +129,13 @@ void IfiSessionPhases::finish_filtering(net::PhaseContext& ctx,
   ctx.open_phase(dissemination_pid_);
 }
 
-// Runs at every member when the heavy set reaches it: materialize the local
-// candidates (Algorithm 2, line 2) and enter aggregation immediately — this
-// peer's subtree proceeds without waiting for the multicast to finish
-// elsewhere.
+// Runs at every member when the heavy set reaches it: record the set these
+// bytes decode to and enter aggregation immediately, whose on_start
+// materializes the local candidates (Algorithm 2, line 2) — this peer's
+// subtree proceeds without waiting for the multicast to finish elsewhere.
 void IfiSessionPhases::on_heavy_received(
     net::PhaseContext& ctx, std::span<const std::uint8_t> encoded) {
-  const NetFilterConfig& cfg = netfilter_.config();
-  const HeavyGroupSet hg =
-      decode_heavy_groups(encoded, cfg.num_filters, cfg.num_groups);
-  const PeerId p = ctx.self();
-  partial_.materialize(p, items_.local_items(p), hg, netfilter_.bank());
-  ready_[p] = true;
+  received_.receive(ctx.self(), encoded);
   ctx.open_phase(aggregation_pid_);
 }
 

@@ -90,19 +90,19 @@ class IfiSessionPhases {
   obs::Context* obs_;
 
   // Flat slab-backed phases (agg/flat_phases.h): group sums ride the wire
-  // as varint vectors merged by column adds into a SoA arena; the heavy set
-  // travels as one delta-coded id list, decoded per peer on receipt.
+  // as varint vectors merged by column adds into rows kept only where
+  // children merge; the heavy set travels as one delta-coded id list,
+  // decoded once at the root for every peer that receives those bytes.
   agg::FlatAggregateConvergecastPhase filtering_;
   agg::FlatMulticastPhase dissemination_;
   agg::FlatPairsConvergecastPhase aggregation_;
   net::PhaseId dissemination_pid_ = 0;
   net::PhaseId aggregation_pid_ = 0;
 
-  // Per-peer candidate rows in one flat slab: written from the receiving
-  // peer's shard on heavy receipt, adopted by the same peer's aggregation
-  // on_start. The flags are a byte arena so neighbors never share a byte.
-  CandidateRows partial_;
-  PeerArena<bool> ready_;
+  // Which heavy set reached each peer: written from the receiving peer's
+  // shard, read by the same peer's aggregation on_start, which materializes
+  // the candidates straight into its accumulator.
+  HeavySetReceipts received_;
 
   // Root-shard writes, published by the round barrier / read after the run.
   HeavyGroupSet heavy_;

@@ -142,6 +142,39 @@ HeavyGroupSet decode_heavy_groups(std::span<const std::uint8_t> in,
   return out;
 }
 
+HeavySetReceipts::HeavySetReceipts(std::uint32_t num_peers,
+                                   std::uint32_t num_filters,
+                                   std::uint32_t num_groups)
+    : num_filters_(num_filters),
+      num_groups_(num_groups),
+      received_(num_peers, nullptr),
+      own_(num_peers) {}
+
+void HeavySetReceipts::install(std::span<const std::uint8_t> encoded) {
+  ensure(!has_installed_.load(), "heavy set payload installed twice");
+  installed_ = decode_heavy_groups(encoded, num_filters_, num_groups_);
+  installed_bytes_.assign(encoded.begin(), encoded.end());
+  has_installed_.store(true);
+}
+
+void HeavySetReceipts::receive(PeerId p,
+                               std::span<const std::uint8_t> encoded) {
+  if (has_installed_.load() && encoded.size() == installed_bytes_.size() &&
+      std::equal(encoded.begin(), encoded.end(), installed_bytes_.begin())) {
+    received_[p] = &installed_;
+    return;
+  }
+  own_[p] = std::make_unique<const HeavyGroupSet>(
+      decode_heavy_groups(encoded, num_filters_, num_groups_));
+  received_[p] = own_[p].get();
+}
+
+const HeavyGroupSet& HeavySetReceipts::of(PeerId p) const {
+  const HeavyGroupSet* set = received_[p];
+  ensure(set != nullptr, "peer aggregating before the heavy set reached it");
+  return *set;
+}
+
 NetFilter::NetFilter(NetFilterConfig config)
     : config_(config),
       bank_(config.filter_seed, config.num_filters, config.num_groups) {
@@ -177,8 +210,10 @@ void NetFilter::local_group_aggregates_into(const LocalItems& items,
 LocalItems NetFilter::materialize_candidates(const LocalItems& items,
                                              const HeavyGroupSet& heavy) const {
   require(heavy.matches(bank_), "heavy group set does not match the bank");
-  LocalItems out = items;
-  out.retain([&](ItemId id, Value) { return heavy.passes(id, bank_); });
+  LocalItems out;
+  for (const auto& [id, value] : items) {
+    if (heavy.passes(id, bank_)) out.add(id, value);  // ascending: appends
+  }
   return out;
 }
 
@@ -263,27 +298,20 @@ NetFilterResult NetFilter::verify_candidates(
           ? heavy.total() * config_.wire.group_id_bytes
           : heavy_encoded.size();
 
-  // Phase 2b: peers materialize their partial candidate sets on receipt
-  // (Algorithm 2, line 2) and the <id, value> pairs merge bottom-up
-  // (lines 3-4). The downward wave strictly precedes the upward one — no
-  // peer can contribute before it has the heavy list — so the two protocols
-  // run back to back.
-  // Candidate rows live in one flat slab (disjoint spans per peer, written
-  // from the receiving peer's shard); the flags are a byte arena so
-  // neighbors never share a written byte.
-  CandidateRows partial;
-  partial.configure(items);
-  PeerArena<bool> ready(overlay.num_peers(), false);
+  // Phase 2b: each peer records the heavy set that reached it and
+  // materializes its candidates (Algorithm 2, line 2) when its aggregation
+  // opens; the <id, value> pairs merge bottom-up (lines 3-4). The downward
+  // wave strictly precedes the upward one — no peer can contribute before
+  // it has the heavy list — so the two protocols run back to back.
+  HeavySetReceipts receipts(overlay.num_peers(), config_.num_filters,
+                            config_.num_groups);
+  receipts.install(heavy_encoded);
 
   agg::FlatMulticastPhase down(
       hierarchy, net::TrafficCategory::kDissemination,
       /*on_receive=*/
       [&](net::PhaseContext& ctx, std::span<const std::uint8_t> body) {
-        const PeerId p = ctx.self();
-        const HeavyGroupSet hg = decode_heavy_groups(
-            body, config_.num_filters, config_.num_groups);
-        partial.materialize(p, items.local_items(p), hg, bank_);
-        ready[p] = true;
+        receipts.receive(ctx.self(), body);
       },
       config_.obs);
   down.set_payload(heavy_encoded, dissemination_bytes);
@@ -313,8 +341,7 @@ NetFilterResult NetFilter::verify_candidates(
       hierarchy, net::TrafficCategory::kAggregation,
       /*local=*/
       [&](PeerId p) {
-        ensure(ready[p] != 0, "peer aggregating before materialization");
-        return partial.take(p);
+        return materialize_candidates(items.local_items(p), receipts.of(p));
       },
       std::move(pair_bytes), config_.obs);
   std::uint64_t up_rounds = 0;

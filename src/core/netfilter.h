@@ -14,7 +14,9 @@
 // no false positives, no false negatives, exact values.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -50,51 +52,43 @@ struct HeavyGroupSet {
   }
 };
 
-/// Arena-backed Phase-2 candidate rows: peer p's materialized candidates
-/// occupy one contiguous span of a shared pair slab instead of N little
-/// maps. Rows are written in place on the dissemination receive — sorted
-/// order is inherited from the peer's local item map, so adopting a row
-/// into a LocalItems skips the sort — and distinct peers own disjoint
-/// spans, which preserves the sharded engine's disjoint-writer contract
-/// (common/arena.h). Capacity is bounded by the local item counts, so a
-/// warmed instance never reallocates across runs.
-class CandidateRows {
+/// Which heavy set each peer received in phase 2 (Algorithm 2, line 2),
+/// decoded once per distinct payload. install() decodes the payload the
+/// root multicasts; a peer whose received bytes equal it (one memcmp)
+/// records a pointer to that one decoded set. Any other bytes are decoded
+/// and validated on receipt into the receiving peer's own slot, so every
+/// peer acts only on what reached it and no ProtocolError check is skipped.
+///
+/// Shard safety: install() runs before the payload can reach any peer — on
+/// the engine thread, or in the root's shard right before the multicast
+/// opens there — and publishes the set through an atomic flag, so a shard
+/// that sees it installed also sees its contents; receive() and of() write
+/// and read only p's slots.
+class HeavySetReceipts {
  public:
-  /// Sizes every row to its upper bound (the peer's local item count).
-  void configure(const ItemSource& items) {
-    const std::uint32_t n = items.num_peers();
-    offsets_.assign(std::size_t{n} + 1, 0);
-    for (std::uint32_t p = 0; p < n; ++p) {
-      offsets_[p + 1] = offsets_[p] + items.local_items(PeerId(p)).size();
-    }
-    slab_.resize(offsets_[n]);
-    counts_.assign(n, 0);
-  }
+  HeavySetReceipts(std::uint32_t num_peers, std::uint32_t num_filters,
+                   std::uint32_t num_groups);
 
-  /// Writes the entries of `local` that pass `heavy` under `bank` into
-  /// p's row (runs on the shard that owns p). Throws InvalidArgument if
-  /// `heavy` does not match the bank's f×g shape.
-  void materialize(PeerId p, const LocalItems& local,
-                   const HeavyGroupSet& heavy, const FilterBank& bank) {
-    require(heavy.matches(bank), "heavy group set does not match the bank");
-    std::size_t w = offsets_[p.value()];
-    for (const auto& [id, value] : local) {
-      if (heavy.passes(id, bank)) slab_[w++] = {id, value};
-    }
-    counts_[p] = static_cast<std::uint32_t>(w - offsets_[p.value()]);
-  }
+  /// Decodes `encoded` as the payload every peer is expected to receive.
+  /// Throws ProtocolError if it does not decode. At most once per query.
+  void install(std::span<const std::uint8_t> encoded);
 
-  /// The row as a ready-to-merge map (sorted adoption, no re-sort).
-  [[nodiscard]] LocalItems take(PeerId p) const {
-    return LocalItems::from_sorted(
-        std::span<const LocalItems::value_type>(slab_).subspan(
-            offsets_[p.value()], counts_[p]));
-  }
+  /// Records the set `encoded` decodes to as the one p received. Throws
+  /// ProtocolError if it does not decode to an f×g set.
+  void receive(PeerId p, std::span<const std::uint8_t> encoded);
+
+  /// The set p received; ProtocolError if nothing reached p.
+  [[nodiscard]] const HeavyGroupSet& of(PeerId p) const;
 
  private:
-  std::vector<std::size_t> offsets_;  ///< per-peer row starts, [n]+1
-  std::vector<LocalItems::value_type> slab_;
-  PeerArena<std::uint32_t> counts_;
+  std::uint32_t num_filters_;
+  std::uint32_t num_groups_;
+  std::vector<std::uint8_t> installed_bytes_;
+  HeavyGroupSet installed_;
+  std::atomic<bool> has_installed_{false};
+  PeerArena<const HeavyGroupSet*> received_;
+  /// Sets decoded from bytes other than the installed payload.
+  PeerArena<std::unique_ptr<const HeavyGroupSet>> own_;
 };
 
 struct NetFilterStats {
@@ -181,7 +175,9 @@ class NetFilter {
                                    std::span<Value> out) const;
 
   /// The candidates visible in one local item set given the heavy bitmap —
-  /// what each peer materializes in phase 2 (Algorithm 2, line 2). Throws
+  /// what each peer materializes in phase 2 (Algorithm 2, line 2): only the
+  /// passing pairs, appended in the local set's sorted order. Both phase-2
+  /// paths build each peer's aggregation accumulator with it. Throws
   /// InvalidArgument if `heavy` does not match the bank's f×g shape.
   [[nodiscard]] LocalItems materialize_candidates(
       const LocalItems& items, const HeavyGroupSet& heavy) const;

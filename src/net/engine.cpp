@@ -668,7 +668,7 @@ std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
     // rounds start at 1) and the first node id this run will admit.
     lineage_->mark_run_start(obs_->tracer.clock());
   }
-  protocol.on_run_start(overlay_);
+  protocol.on_run_start(overlay_, plan.num_shards());
   for (std::uint64_t executed = 0; executed < max_rounds; ++executed) {
     const std::uint64_t allocs_at_round_start = alloc_hook::count();
     // 0. Stamp the round boundary: advance the tracer's logical clock so

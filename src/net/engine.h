@@ -93,6 +93,10 @@ class Engine;
 class Context {
  public:
   NF_REENTRANT [[nodiscard]] PeerId self() const { return self_; }
+  /// The shard executing this callback, below the num_shards that
+  /// Protocol::on_run_start received. Index per-shard scratch with it:
+  /// contents that depend on it break the determinism contract.
+  NF_REENTRANT [[nodiscard]] std::uint32_t shard() const { return shard_; }
   NF_REENTRANT [[nodiscard]] std::uint64_t round() const;
   NF_REENTRANT [[nodiscard]] const Overlay& overlay() const;
   NF_REENTRANT [[nodiscard]] const std::vector<PeerId>& neighbors() const;
@@ -223,8 +227,10 @@ class Protocol {
   virtual ~Protocol() = default;
 
   /// Called once per run() on the engine thread before the first round;
-  /// size per-peer arenas here.
-  NF_ENGINE_THREAD virtual void on_run_start(const Overlay& /*overlay*/) {}
+  /// size per-peer arenas here, and per-shard scratch to `num_shards`
+  /// slots (Context::shard() indexes them from shard callbacks).
+  NF_ENGINE_THREAD virtual void on_run_start(const Overlay& /*overlay*/,
+                                             std::uint32_t /*num_shards*/) {}
 
   /// Called once per round on the engine thread, after churn and before
   /// any delivery or tick — the place for whole-round bookkeeping that

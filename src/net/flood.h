@@ -58,7 +58,8 @@ class FlatFloodPhase final : public FlatPhase {
     require(ttl >= 1, "flood needs ttl >= 1");
   }
 
-  void on_run_start(const Overlay& overlay) override {
+  void on_run_start(const Overlay& overlay,
+                    std::uint32_t /*num_shards*/) override {
     seen_.assign(overlay.num_peers(), false);
     num_reached_.store(0, std::memory_order_relaxed);
     num_copies_.store(0, std::memory_order_relaxed);

@@ -84,7 +84,8 @@ std::string SessionMux::display_name(SessionId s) const {
   return name.empty() ? "s" + std::to_string(s) : name;
 }
 
-void SessionMux::on_run_start(const Overlay& overlay) {
+void SessionMux::on_run_start(const Overlay& overlay,
+                              std::uint32_t num_shards) {
   rounds_seen_ = 0;
   for (const auto& session : sessions_) {
     session->done_round = obs::LineageRecorder::kNoRound;
@@ -93,7 +94,7 @@ void SessionMux::on_run_start(const Overlay& overlay) {
       if (!ps->options.open_on_message && ps->buffered.empty()) {
         ps->buffered.assign(overlay.num_peers(), {});
       }
-      ps->phase->on_run_start(overlay);
+      ps->phase->on_run_start(overlay, num_shards);
     }
   }
 }

@@ -107,6 +107,10 @@ struct SessionTraffic {
 class PhaseContext {
  public:
   NF_REENTRANT [[nodiscard]] PeerId self() const { return ctx_.self(); }
+  /// The executing shard (Context::shard()).
+  NF_REENTRANT [[nodiscard]] std::uint32_t shard() const {
+    return ctx_.shard();
+  }
   NF_REENTRANT [[nodiscard]] std::uint64_t round() const {
     return ctx_.round();
   }
@@ -201,8 +205,10 @@ class Phase {
  public:
   virtual ~Phase() = default;
 
-  /// Size per-peer arenas here; called once per engine run.
-  NF_ENGINE_THREAD virtual void on_run_start(const Overlay& /*overlay*/) {}
+  /// Size per-peer arenas (and per-shard scratch, indexed by
+  /// PhaseContext::shard()) here; called once per engine run.
+  NF_ENGINE_THREAD virtual void on_run_start(const Overlay& /*overlay*/,
+                                             std::uint32_t /*num_shards*/) {}
 
   /// Fires exactly once per peer, when the phase opens there.
   NF_SHARD_CONTEXT virtual void on_start(PhaseContext& /*ctx*/) {}
@@ -294,7 +300,8 @@ class SessionMux final : public Protocol {
   PhaseId add_phase(SessionId session, Phase& phase, PhaseOptions options);
 
   // net::Protocol — the engine-facing half.
-  NF_ENGINE_THREAD void on_run_start(const Overlay& overlay) override;
+  NF_ENGINE_THREAD void on_run_start(const Overlay& overlay,
+                                     std::uint32_t num_shards) override;
   NF_ENGINE_THREAD void on_round_begin(std::uint64_t round) override;
   NF_SHARD_CONTEXT void on_round(Context& ctx) override;
   NF_SHARD_CONTEXT void on_message(Context& ctx, Envelope&& env) override;

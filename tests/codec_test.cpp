@@ -6,9 +6,16 @@
 #include <functional>
 #include <limits>
 
+#include "agg/flat_phases.h"
+#include "agg/hierarchy.h"
 #include "common/hashing.h"
+#include "common/item_source.h"
 #include "common/rng.h"
+#include "core/ifi_session.h"
 #include "core/netfilter.h"
+#include "net/engine.h"
+#include "net/session.h"
+#include "net/topology.h"
 
 namespace nf::net {
 namespace {
@@ -435,6 +442,237 @@ TEST(MutationSweepTest, HeavyGroupDecoderYieldsValueOrProtocolError) {
   sweep("decode_heavy_groups", valid,
         [](std::span<const std::uint8_t> in) {
           (void)core::decode_heavy_groups(in, kFilters, kGroups);
+        },
+        rng);
+}
+
+// The same sweep one layer up: the mutants reach the phase handlers inside
+// an engine run, as a peer would receive them — the heavy-set receipt of
+// IfiSessionPhases (through the dissemination multicast) and the merge of
+// FlatAggregateConvergecastPhase::on_flat. Each run stops before the honest
+// copy reaches the target, so a run that returns means the target decoded
+// the mutant and acted on it.
+
+/// Drives `mux`; in round `at`, peer `from` sends `to` the bytes `forged`
+/// tagged for (session 0, `phase`).
+class InjectingProtocol final : public Protocol {
+ public:
+  InjectingProtocol(SessionMux& mux, PeerId from, PeerId to, PhaseId phase,
+                    std::uint64_t at, std::span<const std::uint8_t> forged)
+      : mux_(mux), from_(from), to_(to), phase_(phase), at_(at),
+        forged_(forged.begin(), forged.end()) {}
+
+  void on_run_start(const Overlay& overlay,
+                    std::uint32_t num_shards) override {
+    mux_.on_run_start(overlay, num_shards);
+  }
+  void on_round_begin(std::uint64_t round) override {
+    mux_.on_round_begin(round);
+  }
+  void on_round(Context& ctx) override {
+    mux_.on_round(ctx);
+    if (sent_ || ctx.self() != from_) return;
+    if (ctx.round() < at_) {
+      ctx.wake_next_round();
+      return;
+    }
+    sent_ = true;
+    PayloadWriter w = ctx.flat_payload();
+    w.put_bytes(forged_);
+    ctx.send_flat_tagged(to_, TrafficCategory::kControl, forged_.size(),
+                         w.finish(), /*session=*/0, phase_, {});
+  }
+  void on_message(Context& ctx, Envelope&& env) override {
+    mux_.on_message(ctx, std::move(env));
+  }
+  void on_run_end() override { mux_.on_run_end(); }
+  [[nodiscard]] bool active() const override { return mux_.active(); }
+
+ private:
+  SessionMux& mux_;
+  PeerId from_;
+  PeerId to_;
+  PhaseId phase_;
+  std::uint64_t at_;
+  Bytes forged_;
+  bool sent_ = false;
+};
+
+Topology line_topology(std::uint32_t n) {
+  Topology t(n);
+  for (std::uint32_t i = 0; i + 1 < n; ++i) {
+    t.add_edge(PeerId(i), PeerId(i + 1));
+  }
+  return t;
+}
+
+class FixedItems final : public ItemSource {
+ public:
+  FixedItems(std::uint32_t num_peers, Rng& rng) : sets_(num_peers) {
+    for (auto& set : sets_) {
+      for (int k = 0; k < 6; ++k) {
+        set.add(ItemId(rng.below(40)), 1 + rng.below(9));
+      }
+    }
+  }
+  [[nodiscard]] const LocalItems& local_items(PeerId p) const override {
+    return sets_[p.value()];
+  }
+  [[nodiscard]] std::uint32_t num_peers() const override {
+    return static_cast<std::uint32_t>(sets_.size());
+  }
+
+ private:
+  std::vector<LocalItems> sets_;
+};
+
+/// One IFI session on a 7-peer line rooted at 0. Filtering completes at the
+/// root in round 6, which installs the heavy payload; the honest copy
+/// reaches peer 5 in round 11. A forged copy that peer 6 sends in round
+/// `at` reaches peer 5 in round at + 1.
+struct HeavyReceiptRig {
+  static constexpr std::uint32_t kPeers = 7;
+  static constexpr std::uint32_t kFilters = 2;
+  static constexpr std::uint32_t kGroups = 8;
+  static constexpr PhaseId kDissemination = 1;
+  static constexpr std::uint64_t kInstalled = 6;
+
+  HeavyReceiptRig()
+      : overlay(line_topology(kPeers)),
+        hierarchy(agg::build_bfs_hierarchy(overlay, PeerId(0))),
+        items([] {
+          Rng rng(23);
+          return FixedItems(kPeers, rng);
+        }()),
+        netfilter([] {
+          core::NetFilterConfig c;
+          c.num_filters = kFilters;
+          c.num_groups = kGroups;
+          return c;
+        }()) {}
+
+  /// Runs `rounds` rounds with `forged` injected in round `at`; returns the
+  /// round filtering completed at the root (0 if it did not).
+  std::uint64_t run(std::span<const std::uint8_t> forged, std::uint64_t at,
+                    std::uint64_t rounds) {
+    core::IfiSessionPhases ifi(netfilter, items, hierarchy, kThreshold);
+    SessionMux mux;
+    (void)ifi.register_phases(mux, mux.add_session(), PhaseStart::kAllPeers);
+    InjectingProtocol inject(mux, PeerId(6), PeerId(5), kDissemination, at,
+                             forged);
+    TrafficMeter meter(kPeers);
+    Engine engine(overlay, meter);
+    (void)engine.run(inject, rounds);
+    return ifi.filtering_rounds();
+  }
+
+  /// The payload the root installs (from an undisturbed run).
+  Bytes honest_payload() {
+    core::IfiSessionPhases ifi(netfilter, items, hierarchy, kThreshold);
+    SessionMux mux;
+    (void)ifi.register_phases(mux, mux.add_session(), PhaseStart::kAllPeers);
+    TrafficMeter meter(kPeers);
+    Engine engine(overlay, meter);
+    (void)engine.run(mux, 100);
+    EXPECT_TRUE(ifi.complete());
+    return core::encode_heavy_groups(ifi.heavy());
+  }
+
+  static constexpr Value kThreshold = 9;
+  Overlay overlay;
+  agg::Hierarchy hierarchy;
+  FixedItems items;
+  core::NetFilter netfilter;
+};
+
+std::vector<Bytes> heavy_payloads(HeavyReceiptRig& rig, Rng& rng) {
+  std::vector<Bytes> valid{rig.honest_payload()};
+  for (int c = 0; c < 3; ++c) {
+    core::HeavyGroupSet heavy;
+    heavy.heavy.assign(HeavyReceiptRig::kFilters,
+                       std::vector<bool>(HeavyReceiptRig::kGroups, false));
+    for (auto& bitmap : heavy.heavy) {
+      for (std::size_t j = 0; j < bitmap.size(); ++j) {
+        bitmap[j] = rng.below(3) == 0;
+      }
+    }
+    valid.push_back(core::encode_heavy_groups(heavy));
+  }
+  return valid;
+}
+
+TEST(MutationSweepTest, HeavyReceiptBeforeInstallYieldsValueOrProtocolError) {
+  Rng rng(29);
+  HeavyReceiptRig rig;
+  const std::vector<Bytes> valid = heavy_payloads(rig, rng);
+  // Injected in round 0: every receipt lands before the root installs.
+  sweep("IfiSessionPhases::on_heavy_received (cold)", valid,
+        [&](std::span<const std::uint8_t> in) {
+          EXPECT_EQ(rig.run(in, /*at=*/0, /*rounds=*/2), 0u);
+        },
+        rng);
+}
+
+TEST(MutationSweepTest, HeavyReceiptAfterInstallYieldsValueOrProtocolError) {
+  Rng rng(31);
+  HeavyReceiptRig rig;
+  const std::vector<Bytes> valid = heavy_payloads(rig, rng);
+  // Injected in round 7, received in round 8: the root installed in round
+  // 6, so every mutant of the honest payload meets a warm cache.
+  sweep("IfiSessionPhases::on_heavy_received (warm)", valid,
+        [&](std::span<const std::uint8_t> in) {
+          EXPECT_EQ(rig.run(in, /*at=*/7, /*rounds=*/9),
+                    HeavyReceiptRig::kInstalled + 1);
+        },
+        rng);
+}
+
+TEST(MutationSweepTest, WarmCacheDecodesAndRejectsAMutatedHeavySet) {
+  HeavyReceiptRig rig;
+  const Bytes honest = rig.honest_payload();
+  // The honest bytes themselves: served from the cache, no error.
+  EXPECT_EQ(rig.run(honest, 7, 9), HeavyReceiptRig::kInstalled + 1);
+  // One byte more than the cached payload: decoded, and rejected.
+  Bytes trailing = honest;
+  trailing.push_back(0);
+  EXPECT_THROW((void)rig.run(trailing, 7, 9), ProtocolError);
+  // A group id past f*g: decoded, and rejected.
+  EXPECT_THROW((void)rig.run(encode_sorted_ids(std::vector<std::uint64_t>{
+                                 HeavyReceiptRig::kFilters *
+                                 HeavyReceiptRig::kGroups}),
+                             7, 9),
+               ProtocolError);
+}
+
+TEST(MutationSweepTest, AggregateMergeYieldsValueOrProtocolError) {
+  // Line 0-1-2-3: peer 1 waits for peer 2's sums until round 2, so a copy
+  // peer 2 forges in round 0 is the first thing peer 1 merges.
+  constexpr std::uint32_t kWidth = 4;
+  Rng rng(37);
+  std::vector<Bytes> valid;
+  for (int c = 0; c < 6; ++c) {
+    std::vector<std::uint64_t> v(kWidth);
+    for (std::uint64_t& x : v) x = any_width(rng);
+    valid.push_back(encode_aggregates(v));
+  }
+  Overlay overlay(line_topology(4));
+  const agg::Hierarchy hierarchy = agg::build_bfs_hierarchy(overlay, PeerId(0));
+  sweep("FlatAggregateConvergecastPhase::on_flat", valid,
+        [&](std::span<const std::uint8_t> in) {
+          agg::FlatAggregateConvergecastPhase cast(
+              hierarchy, TrafficCategory::kFiltering, kWidth,
+              [](PeerId p, std::span<std::uint64_t> out) {
+                std::fill(out.begin(), out.end(), p.value());
+              },
+              /*flat_bytes=*/0);
+          SessionMux mux;
+          (void)mux.add_phase(mux.add_session(), cast,
+                              kStandaloneConvergecast);
+          InjectingProtocol inject(mux, PeerId(2), PeerId(1), /*phase=*/0,
+                                   /*at=*/0, in);
+          TrafficMeter meter(4);
+          Engine engine(overlay, meter);
+          (void)engine.run(inject, /*max_rounds=*/2);
         },
         rng);
 }

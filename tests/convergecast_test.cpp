@@ -4,8 +4,13 @@
 
 #include <numeric>
 #include <tuple>
+#include <vector>
 
+#include "agg/flat_phases.h"
+#include "common/rng.h"
 #include "common/value_map.h"
+#include "net/codec.h"
+#include "net/topology.h"
 
 namespace nf::agg {
 namespace {
@@ -174,6 +179,87 @@ INSTANTIATE_TEST_SUITE_P(
     Graphs, ConvergecastTopologyTest,
     ::testing::Combine(::testing::Values(2u, 5u, 37u, 256u, 1000u),
                        ::testing::Values(11u, 12u)));
+
+// FlatAggregateConvergecastPhase keeps rows only where children merge (the
+// root and members with downstream peers); leaves sum into their shard's
+// scratch row. Against a reference computed per subtree, the global sums
+// and every peer's upward payload size must be exact on every shape —
+// including a root that is itself a leaf — and at several shard counts.
+constexpr std::uint32_t kFlatWidth = 5;
+
+std::vector<std::uint64_t> flat_local(PeerId p) {
+  std::vector<std::uint64_t> row(kFlatWidth);
+  for (std::uint32_t j = 0; j < kFlatWidth; ++j) {
+    // Spans several varint widths so payload sizes differ per subtree.
+    row[j] = (std::uint64_t{p.value()} * 977 + j * 131) << (7 * (j % 3));
+  }
+  return row;
+}
+
+std::vector<std::uint64_t> subtree_sum(const Hierarchy& h, PeerId p) {
+  std::vector<std::uint64_t> sum = flat_local(p);
+  for (const PeerId c : h.downstream(p)) {
+    const std::vector<std::uint64_t> child = subtree_sum(h, c);
+    for (std::uint32_t j = 0; j < kFlatWidth; ++j) sum[j] += child[j];
+  }
+  return sum;
+}
+
+Topology star(std::uint32_t n) {
+  Topology t(n);
+  for (std::uint32_t i = 1; i < n; ++i) t.add_edge(PeerId(0), PeerId(i));
+  return t;
+}
+
+void expect_flat_sums_exact(Topology topo) {
+  for (const std::uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    Fixture fx(topo);
+    FlatAggregateConvergecastPhase cast(
+        fx.hierarchy, TrafficCategory::kFiltering, kFlatWidth,
+        [](PeerId p, std::span<std::uint64_t> out) {
+          const std::vector<std::uint64_t> row = flat_local(p);
+          std::copy(row.begin(), row.end(), out.begin());
+        },
+        /*flat_bytes=*/0);
+    Engine engine(fx.overlay, fx.meter);
+    engine.set_threads(threads);
+    run_phase(engine, cast, kStandaloneConvergecast, 100);
+    ASSERT_TRUE(cast.complete());
+    const PeerId root = fx.hierarchy.root();
+    const std::vector<std::uint64_t> global = subtree_sum(fx.hierarchy, root);
+    EXPECT_TRUE(std::equal(global.begin(), global.end(),
+                           cast.result().begin(), cast.result().end()));
+    std::uint64_t total = 0;
+    for (std::uint32_t i = 0; i < fx.overlay.num_peers(); ++i) {
+      const PeerId p(i);
+      const std::uint64_t expected =
+          p == root ? 0
+                    : net::encode_aggregates(subtree_sum(fx.hierarchy, p))
+                          .size();
+      EXPECT_EQ(cast.sent_bytes(p), expected) << "peer " << i;
+      total += expected;
+    }
+    EXPECT_EQ(fx.meter.total(TrafficCategory::kFiltering), total);
+  }
+}
+
+TEST(FlatAggregateConvergecastTest, SinglePeerRootIsALeaf) {
+  expect_flat_sums_exact(Topology(1));
+}
+
+TEST(FlatAggregateConvergecastTest, StarMergesOnlyAtTheRoot) {
+  expect_flat_sums_exact(star(9));
+}
+
+TEST(FlatAggregateConvergecastTest, LineMergesAtEveryInnerPeer) {
+  expect_flat_sums_exact(line(7));
+}
+
+TEST(FlatAggregateConvergecastTest, RandomTreeSumsAndPayloadsAreExact) {
+  Rng rng(31);
+  expect_flat_sums_exact(net::random_tree(40, 3, rng));
+}
 
 }  // namespace
 }  // namespace nf::agg

@@ -7,6 +7,7 @@
 // that contract for K ∈ {2, 4, 8} against K = 1, for plain runs and under
 // the adversarial engine features (link loss, latency jitter), and for the
 // full netFilter and gossip-netFilter drivers.
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -590,6 +591,90 @@ TEST(DeterminismTest, ConcurrentSessionsMatchBackToBackRuns) {
   }
 }
 
+// Two multiplexed queries over one filter bank whose heavy sets differ:
+// each peer decodes the heavy set once per distinct payload, so a decode
+// shared across sessions, or per shard only, would hand one query the
+// other's set. Answers, traffic and rounds must be bit-identical at every
+// shard count, and both answers exact.
+TEST(DeterminismTest, ConcurrentSessionsWithDistinctHeavySetsMatchSerial) {
+  const TestWorld world = TestWorld::make();
+  const std::vector<core::ConcurrentRequest> requests{
+      {PeerId(7), 0.004, 0, 0, 0},
+      {PeerId(33), 0.03, 0, 0, 0},
+  };
+  struct Served {
+    std::vector<core::FrequentItemsResponse> responses;
+    core::ConcurrentQueryStats stats;
+    std::array<std::uint64_t, net::kNumTrafficCategories> totals{};
+    std::uint64_t msgs = 0;
+  };
+  const auto serve_at = [&](std::uint32_t threads) {
+    core::NetFilterConfig cfg;
+    cfg.num_groups = 24;
+    cfg.num_filters = 2;
+    cfg.threads = threads;
+    const core::QueryService svc(cfg);
+    TrafficMeter meter(kPeers);
+    Overlay overlay = world.overlay;
+    Served out;
+    out.responses = svc.serve_concurrent(requests, world.workload,
+                                         world.hierarchy, overlay, meter,
+                                         &out.stats);
+    for (std::size_t c = 0; c < net::kNumTrafficCategories; ++c) {
+      out.totals[c] = meter.total(static_cast<TrafficCategory>(c));
+    }
+    out.msgs = meter.num_messages();
+    return out;
+  };
+
+  const Served serial = serve_at(1);
+  ASSERT_EQ(serial.responses.size(), 2u);
+  EXPECT_NE(serial.stats.sessions[0].netfilter.heavy_groups_total,
+            serial.stats.sessions[1].netfilter.heavy_groups_total);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(serial.responses[i].frequent,
+              world.workload.frequent_items(serial.responses[i].threshold))
+        << "request " << i;
+  }
+  EXPECT_NE(serial.responses[0].frequent, serial.responses[1].frequent);
+  // Each session's candidates come from its own heavy set: the same counts
+  // as the query run alone.
+  for (std::size_t i = 0; i < 2; ++i) {
+    core::NetFilterConfig cfg;
+    cfg.num_groups = 24;
+    cfg.num_filters = 2;
+    TrafficMeter meter(kPeers);
+    Overlay overlay = world.overlay;
+    const core::NetFilterResult solo =
+        core::NetFilter(cfg).run(world.workload, world.hierarchy, overlay,
+                                 meter, serial.responses[i].threshold);
+    EXPECT_EQ(solo.stats.heavy_groups_total,
+              serial.stats.sessions[i].netfilter.heavy_groups_total);
+    EXPECT_EQ(solo.stats.num_candidates,
+              serial.stats.sessions[i].netfilter.num_candidates)
+        << "request " << i;
+  }
+
+  for (const std::uint32_t k : {2u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << k);
+    const Served sharded = serve_at(k);
+    EXPECT_EQ(serial.totals, sharded.totals);
+    EXPECT_EQ(serial.msgs, sharded.msgs);
+    EXPECT_EQ(serial.stats.rounds_total, sharded.stats.rounds_total);
+    ASSERT_EQ(sharded.responses.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(serial.responses[i].frequent, sharded.responses[i].frequent)
+          << "request " << i;
+      EXPECT_EQ(serial.stats.sessions[i].netfilter.num_candidates,
+                sharded.stats.sessions[i].netfilter.num_candidates);
+      EXPECT_EQ(serial.stats.sessions[i].traffic.bytes,
+                sharded.stats.sessions[i].traffic.bytes);
+      EXPECT_EQ(serial.stats.sessions[i].traffic.msgs,
+                sharded.stats.sessions[i].traffic.msgs);
+    }
+  }
+}
+
 // The multi-hierarchy (partitioned) and sampling (tuner) paths compose the
 // containers nf-lint polices hardest: random root draws, branch walks,
 // Floyd index picks, and per-slice convergecasts. Tuning from branch
@@ -822,7 +907,8 @@ TEST(DeterminismTest, GossipNetFilterMatchesSerial) {
 /// traffic, and coalesce when several land on one peer.
 class WakeDrivenProtocol final : public net::Protocol {
  public:
-  void on_run_start(const Overlay& overlay) override {
+  void on_run_start(const Overlay& overlay,
+                    std::uint32_t /*num_shards*/) override {
     rearms_.assign(overlay.num_peers(), 0);
     ticks_.assign(overlay.num_peers(), 0);
   }

@@ -106,8 +106,9 @@ class ForgingProtocol final : public Protocol {
                   std::uint64_t ttl)
       : mux_(mux), forger_(forger), target_(target), ttl_(ttl) {}
 
-  void on_run_start(const Overlay& overlay) override {
-    mux_.on_run_start(overlay);
+  void on_run_start(const Overlay& overlay,
+                    std::uint32_t num_shards) override {
+    mux_.on_run_start(overlay, num_shards);
   }
   void on_round_begin(std::uint64_t round) override {
     mux_.on_round_begin(round);

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <tuple>
 
+#include "common/error.h"
+#include "common/rng.h"
 #include "net/topology.h"
 #include "workload/workload.h"
 
@@ -233,8 +236,10 @@ TEST(NetFilterTest, MaterializeCandidatesHonorsAllFilters) {
 
 TEST(NetFilterTest, MaterializeRejectsMismatchedHeavySet) {
   // passes() reads heavy[i][group] for every filter of the bank; a set of
-  // another shape would be an out-of-bounds read, so both materializers
-  // check the shape once per call.
+  // another shape would be an out-of-bounds read, so the materializer
+  // checks the shape once per call. The receipts that hand both phase-2
+  // paths their sets decode what a peer received to the bank's shape, or
+  // reject it.
   Rig rig(20, 1000, 1.0, 21);
   const NetFilter nf(config(8, 2));
   const auto& items = rig.workload.local_items(PeerId(5));
@@ -244,20 +249,95 @@ TEST(NetFilterTest, MaterializeRejectsMismatchedHeavySet) {
   short_row.heavy = {std::vector<bool>(8, true), std::vector<bool>(3, true)};
   HeavyGroupSet too_many_rows;
   too_many_rows.heavy.assign(3, std::vector<bool>(8, true));
-  CandidateRows rows;
-  rows.configure(rig.workload);
   for (const HeavyGroupSet* bad : {&too_few_rows, &short_row,
                                    &too_many_rows}) {
     EXPECT_FALSE(bad->matches(nf.bank()));
     EXPECT_THROW((void)nf.materialize_candidates(items, *bad),
                  InvalidArgument);
-    EXPECT_THROW(rows.materialize(PeerId(5), items, *bad, nf.bank()),
-                 InvalidArgument);
   }
+  HeavySetReceipts receipts(20, 2, 8);
+  receipts.receive(PeerId(5), encode_heavy_groups(too_few_rows));
+  EXPECT_TRUE(receipts.of(PeerId(5)).matches(nf.bank()));
+  // Ids past f*g name a filter the bank does not have.
+  EXPECT_THROW(receipts.receive(PeerId(7), encode_heavy_groups(too_many_rows)),
+               ProtocolError);
   HeavyGroupSet good;
   good.heavy.assign(2, std::vector<bool>(8, true));
   EXPECT_TRUE(good.matches(nf.bank()));
   EXPECT_EQ(nf.materialize_candidates(items, good), items);
+}
+
+TEST(NetFilterTest, MaterializeAppendsExactlyThePassingPairs) {
+  // Reference: the whole local set, minus the pairs that fail the filter.
+  Rig rig(20, 1000, 1.0, 29);
+  const NetFilter nf(config(16, 3));
+  Rng rng(4);
+  for (int c = 0; c < 8; ++c) {
+    HeavyGroupSet heavy;
+    heavy.heavy.assign(3, std::vector<bool>(16, false));
+    for (auto& bitmap : heavy.heavy) {
+      for (std::size_t j = 0; j < bitmap.size(); ++j) {
+        bitmap[j] = rng.below(4) != 0;
+      }
+    }
+    for (std::uint32_t p = 0; p < 20; ++p) {
+      const LocalItems& items = rig.workload.local_items(PeerId(p));
+      LocalItems expected = items;
+      expected.retain(
+          [&](ItemId id, Value) { return heavy.passes(id, nf.bank()); });
+      EXPECT_EQ(nf.materialize_candidates(items, heavy), expected)
+          << "case " << c << " peer " << p;
+    }
+  }
+}
+
+HeavyGroupSet heavy_set(std::uint32_t f, std::uint32_t g,
+                        std::initializer_list<std::uint32_t> ids) {
+  HeavyGroupSet h;
+  h.heavy.assign(f, std::vector<bool>(g, false));
+  for (const std::uint32_t id : ids) h.heavy[id / g][id % g] = true;
+  return h;
+}
+
+TEST(HeavySetReceiptsTest, InstalledBytesShareOneDecodedSet) {
+  const HeavyGroupSet set = heavy_set(2, 8, {1, 6, 9, 15});
+  const net::Bytes encoded = encode_heavy_groups(set);
+  HeavySetReceipts receipts(4, 2, 8);
+  receipts.install(encoded);
+  for (std::uint32_t p = 0; p < 4; ++p) receipts.receive(PeerId(p), encoded);
+  EXPECT_EQ(receipts.of(PeerId(0)).heavy, set.heavy);
+  for (std::uint32_t p = 1; p < 4; ++p) {
+    EXPECT_EQ(&receipts.of(PeerId(p)), &receipts.of(PeerId(0)));
+  }
+}
+
+TEST(HeavySetReceiptsTest, OtherBytesAreDecodedForTheirPeerOnly) {
+  const HeavyGroupSet installed = heavy_set(2, 8, {1, 9});
+  const HeavyGroupSet other = heavy_set(2, 8, {2, 3, 12});
+  HeavySetReceipts receipts(3, 2, 8);
+  // Before install: a peer's bytes are decoded for it alone.
+  receipts.receive(PeerId(0), encode_heavy_groups(other));
+  receipts.install(encode_heavy_groups(installed));
+  receipts.receive(PeerId(1), encode_heavy_groups(installed));
+  receipts.receive(PeerId(2), encode_heavy_groups(other));
+  EXPECT_EQ(receipts.of(PeerId(0)).heavy, other.heavy);
+  EXPECT_EQ(receipts.of(PeerId(1)).heavy, installed.heavy);
+  EXPECT_EQ(receipts.of(PeerId(2)).heavy, other.heavy);
+  EXPECT_NE(&receipts.of(PeerId(2)), &receipts.of(PeerId(1)));
+}
+
+TEST(HeavySetReceiptsTest, MutatedBytesAreDecodedAndRejected) {
+  const net::Bytes encoded = encode_heavy_groups(heavy_set(2, 8, {1, 9}));
+  HeavySetReceipts receipts(2, 2, 8);
+  receipts.install(encoded);
+  net::Bytes trailing = encoded;
+  trailing.push_back(0);
+  EXPECT_THROW(receipts.receive(PeerId(0), trailing), ProtocolError);
+  const net::Bytes truncated(encoded.begin(), encoded.end() - 1);
+  EXPECT_THROW(receipts.receive(PeerId(0), truncated), ProtocolError);
+  // Nothing valid reached peer 0, so it has no set to aggregate with.
+  EXPECT_THROW((void)receipts.of(PeerId(0)), ProtocolError);
+  EXPECT_THROW((void)receipts.of(PeerId(1)), ProtocolError);
 }
 
 TEST(NetFilterTest, InvalidInputsThrow) {

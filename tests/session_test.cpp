@@ -242,8 +242,9 @@ class CountingProtocol final : public Protocol {
  public:
   explicit CountingProtocol(SessionMux& mux) : mux_(mux) {}
 
-  void on_run_start(const Overlay& overlay) override {
-    mux_.on_run_start(overlay);
+  void on_run_start(const Overlay& overlay,
+                    std::uint32_t num_shards) override {
+    mux_.on_run_start(overlay, num_shards);
   }
   void on_round_begin(std::uint64_t round) override {
     mux_.on_round_begin(round);
