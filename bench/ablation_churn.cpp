@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     agg::HierarchyMaintenance::Config mc;
     mc.timeout_rounds = 2;
     agg::HierarchyMaintenance maint(initial, mc);
-    net::Engine engine(overlay, meter);
+    net::Engine engine(overlay, meter, {});
 
     // Run until stabilized (checking every 5 rounds), cap at 200.
     std::uint64_t repair_rounds = 0;

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
                      std::cout, 16);
   for (std::uint32_t rounds : {10u, 20u, 40u, 80u}) {
     net::TrafficMeter meter(params.num_peers);
-    net::Engine engine(env.overlay, meter);
+    net::Engine engine(env.overlay, meter, {});
     agg::PushSumGossip::Config gc;
     gc.rounds = rounds;
     gc.seed = cli.seed;

@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
       // path by running phases manually.
       const core::NetFilter nf(cfg);
       // Phase 1 + 2 via the building blocks over one configured engine.
-      net::Engine engine(env.overlay, meter);
-      engine.set_link_model(net::LinkModel{1, max_delay, cli.seed + 1});
-      engine.set_fault_model(cfg.fault);
+      net::Engine engine(env.overlay, meter,
+                         {.fault = cfg.fault,
+                          .link = net::LinkModel{1, max_delay, cli.seed + 1}});
 
       agg::ConvergecastPhase<std::vector<Value>> phase1(
           env.hierarchy, net::TrafficCategory::kFiltering,

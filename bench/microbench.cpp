@@ -273,7 +273,7 @@ void BM_ObsCounterHandle(benchmark::State& state) {
   obs::Context ctx;
   obs::Counter& c = ctx.registry.counter("bench/counter");
   for (auto _ : state) {
-    c.add(1);  // the cached-handle pattern Engine::set_obs uses
+    c.add(1);  // the cached-handle pattern the Engine constructor sets up
   }
 }
 BENCHMARK(BM_ObsCounterHandle);

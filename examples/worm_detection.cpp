@@ -33,7 +33,7 @@ int main() {
   agg::HierarchyMaintenance::Config mconfig;
   mconfig.timeout_rounds = 2;
   agg::HierarchyMaintenance maintenance(initial, mconfig);
-  net::Engine engine(overlay, meter);
+  net::Engine engine(overlay, meter, {});
   net::ChurnSchedule churn;
   churn.fail_at(3, PeerId(17));
   churn.fail_at(3, PeerId(55));

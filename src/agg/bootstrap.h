@@ -44,7 +44,7 @@ struct BootstrapTotals {
       },
       /*wire_bytes=*/
       [&wire](const Pair&) { return std::uint64_t{2} * wire.aggregate_bytes; });
-  net::Engine engine(overlay, meter);
+  net::Engine engine(overlay, meter, {});
   BootstrapTotals out;
   out.rounds =
       net::run_phase(engine, cast, net::kStandaloneConvergecast, 100000);

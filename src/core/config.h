@@ -6,7 +6,6 @@
 #include "common/error.h"
 #include "common/wire.h"
 #include "net/engine.h"
-#include "obs/context.h"
 
 namespace nf::core {
 
@@ -19,7 +18,11 @@ enum class WireModel : std::uint8_t {
   kVarintDelta,
 };
 
-struct NetFilterConfig {
+/// The engine settings (threads, fault, link, obs) come from the base, and
+/// every engine a run builds takes the whole config. With obs set, the run
+/// also emits phase spans and per-protocol counters; with it null the
+/// instrumentation costs one branch.
+struct NetFilterConfig : net::EngineConfig {
   /// g — the filter size: item groups per filter (paper §III-B.1).
   std::uint32_t num_groups = 100;
   /// f — the number of independent hash filters (paper §III-B.2).
@@ -31,24 +34,8 @@ struct NetFilterConfig {
   WireSizes wire{};
   /// Byte-accounting scheme; kFlatFields reproduces the paper.
   WireModel wire_model = WireModel::kFlatFields;
-  /// Link fault model; loss 0 (the default) reproduces the paper's
-  /// loss-free simulation. With loss > 0 the engine's reliability layer
-  /// keeps the result exact and the meter shows the price.
-  net::LinkFaultModel fault{};
-  /// Link delay/capacity model. The default (delay 1, infinite capacity)
-  /// reproduces the paper's synchronous network bit-for-bit; a
-  /// capacity-limited model makes heavy phases queue on narrow links and
-  /// the per-phase round counts grow accordingly (net/link_model.h).
-  net::LinkModel link{};
   /// Engine round budget per protocol phase (safety net, not a tuning knob).
   std::uint64_t max_rounds_per_phase = 100000;
-  /// Shards/threads for the engines driving each phase (1 = serial). Any
-  /// value yields bit-identical results — see net/engine.h.
-  std::uint32_t threads = 1;
-  /// Optional observability sink (not owned; may be null). When set, the
-  /// run emits phase spans, per-protocol counters and engine traffic
-  /// metrics into it; when null the instrumentation costs one branch.
-  obs::Context* obs = nullptr;
 
   void validate() const {
     require(num_groups >= 1, "need at least one item group");

@@ -61,12 +61,13 @@ class MapPushSum final : public net::Protocol {
 
     Share out;
     Map& x = x_[self.value()];
-    // Halve in place and build the outgoing copy in one pass.
+    // Halve into the outgoing share, then keep the other half. The pairs
+    // come out in x's id order, so neither map needs a sort.
     std::vector<std::pair<ItemId, double>> pairs;
     pairs.reserve(x.size());
     for (const auto& [id, v] : x) pairs.emplace_back(id, v * 0.5);
-    out.x = Map::from_unsorted(pairs);
-    x = Map::from_unsorted(std::move(pairs));
+    out.x = Map::from_sorted(pairs);
+    x = out.x;
     out.count = count_[self.value()] * 0.5;
     count_[self.value()] *= 0.5;
     out.w = w_[self.value()] * 0.5;
@@ -183,10 +184,7 @@ GossipNetFilterResult GossipNetFilter::run(
     // the fault model, pending retransmissions) must never be delivered
     // into the next stage's protocol.
     obs::ScopedPhase span(config_.obs, "gossip.phase1");
-    net::Engine engine(overlay, meter);
-    engine.set_threads(config_.threads);
-    engine.set_fault_model(config_.fault);
-    engine.set_obs(config_.obs);
+    net::Engine engine(overlay, meter, config_);
     result.stats.rounds +=
         engine.run(phase1, std::uint64_t{p1.rounds} * 4 + 10);
   }
@@ -231,10 +229,7 @@ GossipNetFilterResult GossipNetFilter::run(
       });
   {
     obs::ScopedPhase span(config_.obs, "gossip.flood");
-    net::Engine engine(overlay, meter);
-    engine.set_threads(config_.threads);
-    engine.set_fault_model(config_.fault);
-    engine.set_obs(config_.obs);
+    net::Engine engine(overlay, meter, config_);
     result.stats.rounds +=
         net::run_phase(engine, flood, net::kStandaloneBroadcast,
                        std::uint64_t{config_.flood_ttl} * 4 + 10);
@@ -252,10 +247,7 @@ GossipNetFilterResult GossipNetFilter::run(
                     config_.obs);
   {
     obs::ScopedPhase span(config_.obs, "gossip.phase2");
-    net::Engine engine(overlay, meter);
-    engine.set_threads(config_.threads);
-    engine.set_fault_model(config_.fault);
-    engine.set_obs(config_.obs);
+    net::Engine engine(overlay, meter, config_);
     result.stats.rounds +=
         engine.run(phase2, std::uint64_t{config_.phase2_rounds} * 4 + 10);
   }

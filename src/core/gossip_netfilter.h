@@ -37,7 +37,10 @@
 
 namespace nf::core {
 
-struct GossipNetFilterConfig {
+/// Engine settings come from the base; each stage's engine takes the whole
+/// config. Under loss the reliability layer keeps push-sum mass
+/// conservation intact; with obs set, each stage also emits a phase span.
+struct GossipNetFilterConfig : net::EngineConfig {
   std::uint32_t num_groups = 100;   ///< g
   std::uint32_t num_filters = 3;    ///< f
   std::uint64_t filter_seed = 0xF117E25EEDull;
@@ -50,15 +53,6 @@ struct GossipNetFilterConfig {
   double slack = 0.15;
   std::uint32_t flood_ttl = 64;
   std::uint64_t seed = 17;
-  /// Link fault model (loss 0 by default); with loss > 0 the engine's
-  /// reliability layer keeps push-sum mass conservation intact.
-  net::LinkFaultModel fault{};
-  /// Shards/threads for the engines driving each stage (1 = serial). Any
-  /// value yields bit-identical results — see net/engine.h.
-  std::uint32_t threads = 1;
-  /// Optional observability sink (not owned; may be null). When set, each
-  /// stage emits a phase span and the engines/protocols record metrics.
-  obs::Context* obs = nullptr;
 
   void validate() const {
     require(num_groups >= 1, "need at least one item group");

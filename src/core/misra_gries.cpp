@@ -80,7 +80,7 @@ ApproxResult ApproxCollector::run(const ItemSource& items,
       /*wire_bytes=*/
       [this](const MisraGries& s) { return s.wire_bytes(wire_); });
 
-  net::Engine engine(overlay, meter);
+  net::Engine engine(overlay, meter, {});
   const std::uint64_t rounds =
       net::run_phase(engine, cast, net::kStandaloneConvergecast, 100000);
   ensure(cast.complete(), "sketch aggregation did not complete");

@@ -26,8 +26,7 @@ NaiveResult NaiveCollector::run(const ItemSource& items,
         return m.size() * wire_.item_value_pair();
       });
 
-  net::Engine engine(overlay, meter);
-  engine.set_fault_model(fault_);
+  net::Engine engine(overlay, meter, {.fault = fault_});
   const std::uint64_t rounds =
       net::run_phase(engine, cast, net::kStandaloneConvergecast, 100000);
   ensure(cast.complete(), "naive aggregation did not complete");

@@ -247,11 +247,7 @@ HeavyGroupSet NetFilter::filter_candidates(const ItemSource& items,
       },
       flat_bytes, config_.obs);
 
-  net::Engine engine(overlay, meter);
-  engine.set_threads(config_.threads);
-  engine.set_fault_model(config_.fault);
-  engine.set_link_model(config_.link);
-  engine.set_obs(config_.obs);
+  net::Engine engine(overlay, meter, config_);
   const std::uint64_t rounds =
       net::run_phase(engine, cast, net::kStandaloneConvergecast,
                      config_.max_rounds_per_phase, config_.obs);
@@ -316,11 +312,7 @@ NetFilterResult NetFilter::verify_candidates(
       config_.obs);
   down.set_payload(heavy_encoded, dissemination_bytes);
 
-  net::Engine engine(overlay, meter);
-  engine.set_threads(config_.threads);
-  engine.set_fault_model(config_.fault);
-  engine.set_link_model(config_.link);
-  engine.set_obs(config_.obs);
+  net::Engine engine(overlay, meter, config_);
   std::uint64_t down_rounds = 0;
   {
     obs::ScopedPhase phase(config_.obs, "dissemination");
@@ -401,11 +393,7 @@ NetFilterResult NetFilter::run_pipelined(const ItemSource& items,
   IfiSessionPhases ifi(*this, items, hierarchy, threshold);
   (void)ifi.register_phases(mux, sid, net::PhaseStart::kAllPeers);
 
-  net::Engine engine(overlay, meter);
-  engine.set_threads(config_.threads);
-  engine.set_fault_model(config_.fault);
-  engine.set_link_model(config_.link);
-  engine.set_obs(config_.obs);
+  net::Engine engine(overlay, meter, config_);
   const std::uint64_t rounds_total =
       engine.run(mux, config_.max_rounds_per_phase);
   ensure(ifi.complete(), "pipelined netfilter did not complete");

@@ -30,14 +30,6 @@ PartitionedResult PartitionedNetFilter::run(
   PartitionedResult result;
   result.stats.threshold = threshold;
 
-  // Every slice engine runs on the configured links, as NetFilter's do.
-  const auto configure = [this](net::Engine& engine) {
-    engine.set_threads(config_.threads);
-    engine.set_fault_model(config_.fault);
-    engine.set_link_model(config_.link);
-    engine.set_obs(config_.obs);
-  };
-
   // Which filters each hierarchy slice owns: filter i -> slice (i mod k).
   std::vector<std::vector<std::uint32_t>> slice_filters(k);
   for (std::uint32_t i = 0; i < f; ++i) {
@@ -72,8 +64,7 @@ PartitionedResult PartitionedNetFilter::run(
         },
         /*wire_bytes=*/
         [wire_bytes](const std::vector<Value>&) { return wire_bytes; });
-    net::Engine engine(overlay, meter);
-    configure(engine);
+    net::Engine engine(overlay, meter, config_);
     result.stats.rounds +=
         net::run_phase(engine, cast, net::kStandaloneConvergecast,
                        config_.max_rounds_per_phase);
@@ -109,8 +100,7 @@ PartitionedResult PartitionedNetFilter::run(
         [](net::PhaseContext&, std::span<const std::uint8_t>) {});
     mc.set_payload(encode_heavy_groups(slice),
                    slice.total() * config_.wire.group_id_bytes);
-    net::Engine engine(overlay, meter);
-    configure(engine);
+    net::Engine engine(overlay, meter, config_);
     result.stats.rounds += net::run_phase(
         engine, mc, net::kStandaloneBroadcast, config_.max_rounds_per_phase);
     ensure(mc.complete(), "slice dissemination did not complete");
@@ -143,8 +133,7 @@ PartitionedResult PartitionedNetFilter::run(
         [this](const LocalItems& m) {
           return m.size() * config_.wire.item_value_pair();
         });
-    net::Engine engine(overlay, meter);
-    configure(engine);
+    net::Engine engine(overlay, meter, config_);
     result.stats.rounds +=
         net::run_phase(engine, cast, net::kStandaloneConvergecast,
                        config_.max_rounds_per_phase);

@@ -150,10 +150,14 @@ std::vector<FrequentItemsResponse> QueryService::serve_concurrent(
     sessions.push_back(std::move(owned));
   }
 
-  net::Engine engine(overlay, meter);
-  engine.set_threads(config_.threads);
-  engine.set_fault_model(config_.fault);
-  engine.set_obs(obs);
+  // The one engine that drops config_.link. On perfbench lossy_multiquery
+  // (seed 1, 4 s runs, two alternating pairs, 4-vCPU VM) honouring it kept
+  // rounds_per_query (122) and bytes_per_peer (10213.466) but raised
+  // peak_rss_mb from 83.9/83.8 to 107.2/107.5 and query_ms_p50 from
+  // 263.6/280.1 to 311.8/334.2 ms. ROADMAP item 3 names the probable cause.
+  net::EngineConfig engine_config = config_;
+  engine_config.link = {};
+  net::Engine engine(overlay, meter, engine_config);
   const std::uint64_t rounds =
       engine.run(mux, config_.max_rounds_per_phase, churn);
 
@@ -228,13 +232,6 @@ std::vector<FrequentItemsResponse> QueryService::serve(
   }
   require(v_total > 0, "system holds no items");
 
-  // Each stage engine runs on the configured threads, faults and obs, as
-  // NetFilter's do.
-  const auto configure = [this](net::Engine& engine) {
-    engine.set_threads(config_.threads);
-    engine.set_fault_model(config_.fault);
-    engine.set_obs(config_.obs);
-  };
   // Both routed stages open at every peer on the first tick: requesters
   // originate their requests, the root its replies.
   constexpr net::PhaseOptions kEveryPeer{net::PhaseStart::kAllPeers};
@@ -255,8 +252,7 @@ std::vector<FrequentItemsResponse> QueryService::serve(
                       });
       (void)mux.add_phase(mux.add_session(), up.back(), kEveryPeer);
     }
-    net::Engine engine(overlay, meter);
-    configure(engine);
+    net::Engine engine(overlay, meter, config_);
     engine.run(mux, config_.max_rounds_per_phase);
     ensure(mux.all_done(), "not every request reached the root");
   }
@@ -298,8 +294,7 @@ std::vector<FrequentItemsResponse> QueryService::serve(
       down.back().set_payload(std::move(reply));
       (void)mux.add_phase(mux.add_session(), down.back(), kEveryPeer);
     }
-    net::Engine engine(overlay, meter);
-    configure(engine);
+    net::Engine engine(overlay, meter, config_);
     engine.run(mux, config_.max_rounds_per_phase);
     ensure(mux.all_done(), "lost replies");
   }

@@ -22,6 +22,17 @@ std::uint64_t add_delta(std::uint64_t prev, std::uint64_t delta) {
   return prev + delta;
 }
 
+/// The Bytes encoders are thin wrappers over their PayloadWriter twins:
+/// run `encode` against a scratch slab and copy out what it wrote.
+template <typename Encode>
+Bytes to_bytes(const Encode& encode) {
+  SlabArena slab;
+  PayloadWriter w(slab, 0);
+  encode(w);
+  const std::span<const std::uint8_t> out = slab.view(0, w.written());
+  return Bytes(out.begin(), out.end());
+}
+
 }  // namespace
 
 void put_varint(Bytes& out, std::uint64_t value) {
@@ -57,15 +68,7 @@ std::size_t varint_size(std::uint64_t value) {
 }
 
 Bytes encode_sorted_ids(std::span<const std::uint64_t> ids) {
-  Bytes out;
-  put_varint(out, ids.size());
-  std::uint64_t prev = 0;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    require(i == 0 || ids[i] >= prev, "ids must be sorted ascending");
-    put_varint(out, ids[i] - prev);
-    prev = ids[i];
-  }
-  return out;
+  return to_bytes([&](PayloadWriter& w) { encode_sorted_ids_to(w, ids); });
 }
 
 std::vector<std::uint64_t> decode_sorted_ids(
@@ -85,15 +88,7 @@ std::vector<std::uint64_t> decode_sorted_ids(
 }
 
 Bytes encode_pairs(const ValueMap<ItemId, std::uint64_t>& map) {
-  Bytes out;
-  put_varint(out, map.size());
-  std::uint64_t prev = 0;
-  for (const auto& [id, value] : map) {
-    put_varint(out, id.value() - prev);
-    put_varint(out, value);
-    prev = id.value();
-  }
-  return out;
+  return to_bytes([&](PayloadWriter& w) { encode_pairs_to(w, map); });
 }
 
 ValueMap<ItemId, std::uint64_t> decode_pairs(
@@ -116,10 +111,7 @@ ValueMap<ItemId, std::uint64_t> decode_pairs(
 }
 
 Bytes encode_aggregates(std::span<const std::uint64_t> values) {
-  Bytes out;
-  put_varint(out, values.size());
-  for (std::uint64_t v : values) put_varint(out, v);
-  return out;
+  return to_bytes([&](PayloadWriter& w) { encode_aggregates_to(w, values); });
 }
 
 std::vector<std::uint64_t> decode_aggregates(

@@ -66,9 +66,10 @@ void put_varint(Bytes& out, std::uint64_t value);
 
 // --- Slab-writer variants (net/payload.h) ---------------------------------
 //
-// Byte-for-byte identical to the Bytes-returning encoders above, but append
-// straight into a slab arena through a PayloadWriter: zero intermediate
-// allocation on the hot path. tests/codec_test.cpp pins the equivalence.
+// The one encoder family: append straight into a slab arena through a
+// PayloadWriter, with zero intermediate allocation on the hot path. The
+// Bytes-returning encoders above wrap these (fixed32 aside);
+// tests/codec_test.cpp pins the equivalence.
 
 /// Sorted id list -> count + delta-coded varints, into `w`.
 void encode_sorted_ids_to(PayloadWriter& w, std::span<const std::uint64_t> ids);

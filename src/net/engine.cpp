@@ -117,90 +117,48 @@ void Context::send_flat_tagged(PeerId to, TrafficCategory category,
   push_send(to, category, bytes, {}, flat, session, phase, parents);
 }
 
-Engine::Engine(Overlay& overlay, TrafficMeter& meter)
-    : overlay_(overlay), meter_(meter) {
+Engine::Engine(Overlay& overlay, TrafficMeter& meter,
+               const EngineConfig& config)
+    : overlay_(overlay),
+      meter_(meter),
+      obs_(config.obs),
+      threads_(config.threads),
+      link_(config.link),
+      fault_(config.fault) {
   require(meter.num_peers() == overlay.num_peers(),
           "meter and overlay disagree on peer count");
-  transit_ring_.resize(2);  // delay-1 traffic: drain bucket r, fill r+1
-  ring_slabs_.resize(2);
-}
+  require(threads_ >= 1, "threads must be >= 1");
+  require(link_.min_delay >= 1, "latency must be at least one round");
+  require(link_.max_delay >= link_.min_delay,
+          "max_delay must be >= min_delay");
+  require(link_.max_backlog_rounds >= 1, "max_backlog_rounds must be >= 1");
+  require(fault_.loss_probability >= 0.0 && fault_.loss_probability < 1.0,
+          "loss probability must be in [0, 1)");
+  require(fault_.retransmit_after >= 1, "retransmit_after must be >= 1");
+  require(fault_.max_retries >= 1, "max_retries must be >= 1");
 
-void Engine::set_threads(std::uint32_t threads) {
-  require(threads >= 1, "threads must be >= 1");
-  if (threads == threads_) return;
-  threads_ = threads;
-  pool_.reset();
   // The engine thread drives one shard itself, so K shards need K-1 workers.
   if (threads_ > 1) pool_ = std::make_unique<ShardPool>(threads_ - 1);
-}
-
-void Engine::set_link_model(const LinkModel& model) {
-  require(model.min_delay >= 1, "latency must be at least one round");
-  require(model.max_delay >= model.min_delay,
-          "max_delay must be >= min_delay");
-  require(model.max_backlog_rounds >= 1, "max_backlog_rounds must be >= 1");
-  require(in_transit_ == 0,
-          "cannot change the link model with messages in transit");
-  link_ = model;
-  link_delay_on_ = model.max_delay > 1;
-  link_capacity_on_ = model.capacity_limited();
+  lossy_ = fault_.loss_probability > 0.0;
+  link_delay_on_ = link_.max_delay > 1;
+  link_capacity_on_ = link_.capacity_limited();
   // The transit ring must span the farthest admissible delivery offset:
   // max_delay alone for the infinite-capacity path (identical ring
   // geometry to the historical engine — slab offsets and reports stay
-  // bit-for-bit), plus the backlog horizon when links can queue.
+  // bit-for-bit), plus the backlog horizon when links can queue. Delay-1
+  // traffic needs two slots: drain bucket r, fill r+1.
   const std::size_t span =
       link_capacity_on_
-          ? static_cast<std::size_t>(model.max_delay) +
-                model.max_backlog_rounds
-          : static_cast<std::size_t>(model.max_delay) + 1;
-  transit_ring_.assign(std::max<std::size_t>(2, span), {});
-  ring_slabs_.assign(transit_ring_.size(), {});
-  if (link_capacity_on_) {
-    link_queues_.configure(overlay_.num_peers());
-  } else {
-    link_queues_ = LinkQueueTable{};
-  }
-}
+          ? static_cast<std::size_t>(link_.max_delay) +
+                link_.max_backlog_rounds
+          : static_cast<std::size_t>(link_.max_delay) + 1;
+  transit_ring_.resize(std::max<std::size_t>(2, span));
+  ring_slabs_.resize(transit_ring_.size());
+  if (link_capacity_on_) link_queues_.configure(overlay_.num_peers());
 
-void Engine::set_fault_model(const LinkFaultModel& model) {
-  require(model.loss_probability >= 0.0 && model.loss_probability < 1.0,
-          "loss probability must be in [0, 1)");
-  require(model.retransmit_after >= 1, "retransmit_after must be >= 1");
-  require(model.max_retries >= 1, "max_retries must be >= 1");
-  fault_ = model;
-  lossy_ = model.loss_probability > 0.0;
-}
-
-void Engine::set_obs(obs::Context* obs) {
-  obs_ = obs;
-  lineage_ = obs != nullptr ? &obs->lineage : nullptr;
-  obs_shard_busy_.clear();
-  obs_shard_idle_.clear();
-  // Overhead bookkeeping is per-attachment: the counters live in the
-  // context, the ns accumulators here, so a stale reported watermark from a
-  // previous context would make the first delta wrap.
-  round_obs_ns_ = 0;
-  overhead_ns_total_ = 0;
-  overhead_us_reported_ = 0;
-  round_ns_total_ = 0;
-  round_us_reported_ = 0;
-  if (obs == nullptr) {
-    obs_sent_ = nullptr;
-    obs_delivered_ = nullptr;
-    obs_rounds_ = nullptr;
-    obs_sent_bytes_ = nullptr;
-    obs_msg_bytes_ = nullptr;
-    obs_in_flight_ = nullptr;
-    obs_steady_allocs_ = nullptr;
-    link_stats_ = nullptr;
-    obs_overhead_us_ = nullptr;
-    obs_round_us_ = nullptr;
-    obs_queued_msgs_ = nullptr;
-    obs_queue_delay_ = nullptr;
-    obs_clamped_bytes_ = nullptr;
-    obs_backlog_bytes_ = nullptr;
-    return;
-  }
+  obs::Context* const obs = config.obs;
+  if (obs == nullptr) return;
+  lineage_ = &obs->lineage;
   obs_steady_allocs_ = &obs->registry.counter("engine/steady_allocs");
   obs_sent_ = &obs->registry.counter("engine/sent");
   obs_delivered_ = &obs->registry.counter("engine/delivered");
@@ -225,11 +183,8 @@ void Engine::set_obs(obs::Context* obs) {
   obs->series.track_counter("engine/sent_bytes", obs_sent_bytes_);
   obs->series.track_gauge("engine/in_flight", obs_in_flight_);
   obs->series.track_counter("obs/overhead_us", obs_overhead_us_);
-  // nf-lint: nf-obs-context-ok (guarded by the early return at the top)
   obs->series.track_counter("engine/round_us", obs_round_us_);
-  // nf-lint: nf-obs-context-ok (guarded by the early return at the top)
   obs->series.track_gauge("engine/backlog_bytes", obs_backlog_bytes_);
-  // nf-lint: nf-obs-context-ok (guarded by the early return at the top)
   obs->series.track_counter("engine/congestion/queue_delay_rounds",
                             obs_queue_delay_);
 }

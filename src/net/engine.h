@@ -85,6 +85,41 @@ struct LinkFaultModel {
   std::uint64_t seed = 0xACC1DE57ull;
 };
 
+/// How an engine runs, fixed at construction. Every default reproduces the
+/// paper's network: serial, loss-free, synchronous links, no telemetry.
+/// Protocol configs (core::NetFilterConfig, core::GossipNetFilterConfig)
+/// inherit it, so a site hands its whole config to the engine and cannot
+/// drop one setting.
+struct EngineConfig {
+  /// Shards/threads for protocol callbacks (1 = serial). Any value yields
+  /// bit-identical results; K > 1 spawns K-1 pool workers (the engine
+  /// thread drives the remaining shard).
+  std::uint32_t threads = 1;
+  /// Link fault model; with loss > 0 the reliability layer keeps every
+  /// protocol exact and the meter shows the price.
+  LinkFaultModel fault{};
+  /// Per-link propagation delay plus per-link capacity (bytes/round) with
+  /// a bounded backlog. Under a capacity-limited model every admission runs
+  /// through the link scheduler: a message of s bytes on a link with
+  /// capacity c and backlog q delivers after delay + ceil((q+s)/c) - 1
+  /// extra rounds, in canonical admission order, and each link drains c
+  /// bytes at every round barrier — all on the engine thread, so congested
+  /// runs stay bit-identical for any thread count.
+  LinkModel link{};
+  /// Observability sink (not owned; null = off). The engine then counts
+  /// sends/deliveries/rounds/bytes, histograms message sizes, stamps the
+  /// tracer's logical clock at every round boundary, and drives the
+  /// context's TimeSeries once per round (per-round deliveries, sends,
+  /// bytes, in-flight messages, and per-shard busy wall time — stamped with
+  /// the tracer clock so series from successive engines sharing one context
+  /// stay strictly ordered). Per-shard busy/idle wall time accumulates into
+  /// `engine/shard<k>/busy_us` / `idle_us` gauges so `--threads=K`
+  /// imbalance is visible in reports. Metric handles are cached at
+  /// construction so the per-message cost is an increment, not a map
+  /// lookup.
+  obs::Context* obs = nullptr;
+};
+
 class Engine;
 
 /// Per-peer view handed to protocol callbacks. Sends are buffered in the
@@ -261,7 +296,9 @@ class Protocol {
 
 class Engine {
  public:
-  Engine(Overlay& overlay, TrafficMeter& meter);
+  /// Throws InvalidArgument on a config no engine can run.
+  NF_ENGINE_THREAD Engine(Overlay& overlay, TrafficMeter& meter,
+                          const EngineConfig& config);
 
   /// Runs `protocol` until quiescence (no messages in flight, protocol not
   /// active) or `max_rounds`, whichever first. Returns rounds executed.
@@ -282,28 +319,6 @@ class Engine {
   /// Messages dropped because the destination was dead on delivery.
   [[nodiscard]] std::uint64_t dropped_messages() const { return dropped_; }
 
-  /// Runs protocol callbacks on `threads` shards (1 = serial, the default).
-  /// Any K produces bit-identical results; K > 1 spawns K-1 pool workers
-  /// (the engine thread drives the remaining shard). Must be called before
-  /// run().
-  NF_ENGINE_THREAD void set_threads(std::uint32_t threads);
-  [[nodiscard]] std::uint32_t threads() const { return threads_; }
-
-  /// Enables the lossy-link model. Must be called before run().
-  NF_ENGINE_THREAD void set_fault_model(const LinkFaultModel& model);
-
-  /// Sets the full link model: per-link propagation delay plus per-link
-  /// capacity (bytes/round) with a bounded backlog. Under a capacity-
-  /// limited model every admission runs through the link scheduler: a
-  /// message of s bytes on a link with capacity c and backlog q delivers
-  /// after delay + ceil((q+s)/c) - 1 extra rounds, in canonical admission
-  /// order, and each link drains c bytes at every round barrier — all on
-  /// the engine thread, so congested runs stay bit-identical for any
-  /// thread count. The default model reproduces the historical synchronous
-  /// engine exactly. Must be called before run().
-  NF_ENGINE_THREAD void set_link_model(const LinkModel& model);
-  [[nodiscard]] const LinkModel& link_model() const { return link_; }
-
   /// Diagnostics for the link scheduler (0 under infinite capacity).
   /// queue_delay_rounds(): total extra rounds messages spent queued behind
   /// link backlogs; clamped_backlog_bytes(): backlog bytes beyond the
@@ -318,18 +333,6 @@ class Engine {
   }
   /// Current total backlog across all links (end of last round).
   [[nodiscard]] std::uint64_t backlog_bytes() const { return backlog_bytes_; }
-
-  /// Attaches an observability context (nullptr detaches). The engine then
-  /// counts sends/deliveries/rounds/bytes, histograms message sizes, stamps
-  /// the tracer's logical clock at every round boundary, and drives the
-  /// context's TimeSeries once per round (per-round deliveries, sends,
-  /// bytes, in-flight messages, and per-shard busy wall time — stamped with
-  /// the tracer clock so series from successive engines sharing one context
-  /// stay strictly ordered). Per-shard busy/idle wall time accumulates into
-  /// `engine/shard<k>/busy_us` / `idle_us` gauges so `--threads=K`
-  /// imbalance is visible in reports. Metric handles are cached here so the
-  /// per-message cost is an increment, not a map lookup.
-  NF_ENGINE_THREAD void set_obs(obs::Context* obs);
 
   /// Observes every transmission the engine admits to the network (data,
   /// ACKs and retransmissions alike), in canonical order — the hook the
@@ -429,7 +432,7 @@ class Engine {
 
   Overlay& overlay_;
   TrafficMeter& meter_;
-  obs::Context* obs_ = nullptr;
+  obs::Context* const obs_;
   obs::Counter* obs_sent_ = nullptr;
   obs::Counter* obs_delivered_ = nullptr;
   obs::Counter* obs_rounds_ = nullptr;
@@ -467,7 +470,7 @@ class Engine {
   std::function<void(const Envelope&)> send_probe_;
 
   // Sharded execution.
-  std::uint32_t threads_ = 1;
+  const std::uint32_t threads_;
   std::unique_ptr<ShardPool> pool_;
   std::vector<ShardScratch> shards_;
   std::vector<Context::KeyedSend> engine_sends_;  // ACKs, this round
@@ -504,7 +507,7 @@ class Engine {
   // per-send delay draw when every link is delay 1; link_capacity_on_
   // gates the whole scheduler, so the infinite-capacity default costs
   // nothing and reproduces the historical engine bit-for-bit.
-  LinkModel link_{};
+  const LinkModel link_;
   bool link_delay_on_ = false;
   bool link_capacity_on_ = false;
   // Per-link backlog ledger. Engine-thread-only, canonical admission order
@@ -526,7 +529,7 @@ class Engine {
   // Reliability layer (active iff fault_.loss_probability > 0). All state
   // is dense per-peer-index: unacked messages per sender, seen reliable
   // msg ids (sorted) per receiver.
-  LinkFaultModel fault_{};
+  const LinkFaultModel fault_;
   bool lossy_ = false;
   std::uint64_t next_msg_id_ = 1;
   std::uint64_t next_transmission_ = 0;  // loss-stream counter

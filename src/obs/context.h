@@ -47,7 +47,8 @@ struct Context {
 };
 
 // Null-safe instrumentation helpers. Sites that fire per message should
-// prefer caching the registry handle (see Engine::set_obs) when enabled.
+// prefer caching the registry handle (as the net::Engine constructor does)
+// when enabled.
 inline void add_counter(Context* c, std::string_view name,
                         std::uint64_t delta = 1) {
   if (c != nullptr) c->registry.counter(name).add(delta);

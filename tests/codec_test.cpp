@@ -561,7 +561,7 @@ struct HeavyReceiptRig {
     InjectingProtocol inject(mux, PeerId(6), PeerId(5), kDissemination, at,
                              forged);
     TrafficMeter meter(kPeers);
-    Engine engine(overlay, meter);
+    Engine engine(overlay, meter, {});
     (void)engine.run(inject, rounds);
     return ifi.filtering_rounds();
   }
@@ -572,7 +572,7 @@ struct HeavyReceiptRig {
     SessionMux mux;
     (void)ifi.register_phases(mux, mux.add_session(), PhaseStart::kAllPeers);
     TrafficMeter meter(kPeers);
-    Engine engine(overlay, meter);
+    Engine engine(overlay, meter, {});
     (void)engine.run(mux, 100);
     EXPECT_TRUE(ifi.complete());
     return core::encode_heavy_groups(ifi.heavy());
@@ -671,7 +671,7 @@ TEST(MutationSweepTest, AggregateMergeYieldsValueOrProtocolError) {
           InjectingProtocol inject(mux, PeerId(2), PeerId(1), /*phase=*/0,
                                    /*at=*/0, in);
           TrafficMeter meter(4);
-          Engine engine(overlay, meter);
+          Engine engine(overlay, meter, {});
           (void)engine.run(inject, /*max_rounds=*/2);
         },
         rng);

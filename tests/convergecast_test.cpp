@@ -49,7 +49,7 @@ TEST(ConvergecastTest, SumsScalarsOverLine) {
       [](PeerId p) { return std::uint64_t{p.value() + 1}; },  // 1..5
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   run_phase(engine, cast, kStandaloneConvergecast, 100);
   ASSERT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), 15u);
@@ -62,7 +62,7 @@ TEST(ConvergecastTest, CompletesInHeightRounds) {
       [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   const std::uint64_t rounds =
       run_phase(engine, cast, kStandaloneConvergecast, 100);
   EXPECT_EQ(cast.result(), 8u);
@@ -78,7 +78,7 @@ TEST(ConvergecastTest, OneMessagePerNonRootMember) {
       [](PeerId) { return std::uint64_t{1}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   run_phase(engine, cast, kStandaloneConvergecast, 200);
   EXPECT_EQ(cast.result(), 100u);
   EXPECT_EQ(fx.meter.num_messages(), 99u);
@@ -99,7 +99,7 @@ TEST(ConvergecastTest, VectorAggregatesAddElementwise) {
         for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
       },
       [](const std::vector<std::uint64_t>& v) { return 4 * v.size(); });
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   run_phase(engine, cast, kStandaloneConvergecast, 200);
   ASSERT_TRUE(cast.complete());
   const std::uint64_t sum_ids = 50 * 49 / 2;
@@ -125,7 +125,7 @@ TEST(ConvergecastTest, ValueMapMergeMatchesGroundTruth) {
       fx.hierarchy, TrafficCategory::kAggregation, local,
       [](auto& a, auto&& b) { a.merge_add(b); },
       [](const auto& m) { return 8 * m.size(); });
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   run_phase(engine, cast, kStandaloneConvergecast, 200);
   ASSERT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), truth);
@@ -138,7 +138,7 @@ TEST(ConvergecastTest, SingletonHierarchyCompletesWithoutTraffic) {
       [](PeerId) { return std::uint64_t{42}; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   run_phase(engine, cast, kStandaloneConvergecast, 10);
   ASSERT_TRUE(cast.complete());
   EXPECT_EQ(cast.result(), 42u);
@@ -167,7 +167,7 @@ TEST_P(ConvergecastTopologyTest, SumIsExactOnArbitraryGraphs) {
       [](PeerId p) { return std::uint64_t{p.value()} * 3 + 1; },
       [](std::uint64_t& a, std::uint64_t&& b) { a += b; },
       [](const std::uint64_t&) { return std::uint64_t{4}; });
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   run_phase(engine, cast, kStandaloneConvergecast, 1000);
   ASSERT_TRUE(cast.complete());
   std::uint64_t expect = 0;
@@ -222,8 +222,7 @@ void expect_flat_sums_exact(Topology topo) {
           std::copy(row.begin(), row.end(), out.begin());
         },
         /*flat_bytes=*/0);
-    Engine engine(fx.overlay, fx.meter);
-    engine.set_threads(threads);
+    Engine engine(fx.overlay, fx.meter, {.threads = threads});
     run_phase(engine, cast, kStandaloneConvergecast, 100);
     ASSERT_TRUE(cast.complete());
     const PeerId root = fx.hierarchy.root();

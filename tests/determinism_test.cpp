@@ -90,10 +90,10 @@ RunTrace run_convergecast(const TestWorld& world, std::uint32_t threads,
   const core::NetFilter nf(core::NetFilterConfig{});
   TrafficMeter meter(kPeers);
   Overlay overlay = world.overlay;  // engines never mutate it, but stay safe
-  Engine engine(overlay, meter);
-  engine.set_threads(threads);
-  if (fault != nullptr) engine.set_fault_model(*fault);
-  if (latency != nullptr) engine.set_link_model(*latency);
+  Engine engine(overlay, meter,
+                {.threads = threads,
+                 .fault = fault != nullptr ? *fault : LinkFaultModel{},
+                 .link = latency != nullptr ? *latency : LinkModel{}});
 
   RunTrace trace;
   engine.set_send_probe([&trace](const Envelope& env) {
@@ -201,8 +201,7 @@ TEST(DeterminismTest, FlatPayloadBytesAreBitIdenticalAcrossShardCounts) {
     const core::NetFilter nf(cfg);
     TrafficMeter meter(kPeers);
     Overlay overlay = world.overlay;
-    Engine engine(overlay, meter);
-    engine.set_threads(threads);
+    Engine engine(overlay, meter, {.threads = threads});
 
     FlatTrace trace;
     // The probe fires at admission, after the engine parked the payload in
@@ -943,8 +942,7 @@ TEST(DeterminismTest, WakeDrivenTicksMatchSerial) {
   const auto run_at = [&](std::uint32_t threads) {
     TrafficMeter meter(kPeers);
     Overlay overlay = world.overlay;
-    Engine engine(overlay, meter);
-    engine.set_threads(threads);
+    Engine engine(overlay, meter, {.threads = threads});
     RunTrace trace;
     engine.set_send_probe([&trace](const Envelope& env) {
       trace.sends.emplace_back(env.from.value(), env.to.value(),

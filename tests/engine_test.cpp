@@ -53,7 +53,7 @@ class RelayProtocol final : public Protocol {
 TEST(EngineTest, MessagesTakeOneRoundPerHop) {
   Overlay overlay = make_line(5);
   TrafficMeter meter(5);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   RelayProtocol relay(5);
   engine.run(relay, 100);
   EXPECT_TRUE(relay.done_);
@@ -65,7 +65,7 @@ TEST(EngineTest, MessagesTakeOneRoundPerHop) {
 TEST(EngineTest, ChargesSenderOnSend) {
   Overlay overlay = make_line(3);
   TrafficMeter meter(3);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   RelayProtocol relay(3);
   engine.run(relay, 100);
   EXPECT_EQ(meter.peer_total(PeerId(0)), 4u);
@@ -77,7 +77,7 @@ TEST(EngineTest, ChargesSenderOnSend) {
 TEST(EngineTest, StopsWhenQuiescent) {
   Overlay overlay = make_line(4);
   TrafficMeter meter(4);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   RelayProtocol relay(4);
   const std::uint64_t rounds = engine.run(relay, 1000);
   EXPECT_LE(rounds, 6u);  // 3 hops + bounded overhead, not 1000
@@ -86,7 +86,7 @@ TEST(EngineTest, StopsWhenQuiescent) {
 TEST(EngineTest, DropsMessagesToDeadPeers) {
   Overlay overlay = make_line(3);
   TrafficMeter meter(3);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   RelayProtocol relay(3);
   ChurnSchedule churn;
   churn.fail_at(1, PeerId(1));  // dies before the message arrives
@@ -100,7 +100,7 @@ TEST(EngineTest, ChurnJoinRevivesPeer) {
   Overlay overlay = make_line(3);
   overlay.fail(PeerId(2));
   TrafficMeter meter(3);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   RelayProtocol relay(3);
   ChurnSchedule churn;
   churn.join_at(1, PeerId(2));
@@ -112,7 +112,7 @@ TEST(EngineTest, DeadPeersGetNoOnRound) {
   Overlay overlay = make_line(2);
   overlay.fail(PeerId(0));
   TrafficMeter meter(2);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   RelayProtocol relay(2);
   engine.run(relay, 5);
   EXPECT_FALSE(relay.started_);
@@ -131,7 +131,7 @@ TEST(EngineTest, RespectsMaxRounds) {
   };
   Overlay overlay = make_line(1);
   TrafficMeter meter(1);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   Forever forever;
   const std::uint64_t rounds = engine.run(forever, 7);
   EXPECT_EQ(rounds, 7u);
@@ -171,7 +171,7 @@ TEST(EngineTest, NeverWakingProtocolIsTickedOnlyInTheFirstRound) {
   Overlay overlay = make_line(5);
   overlay.fail(PeerId(2));
   TrafficMeter meter(5);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   TickRecorder rec;
   EXPECT_EQ(engine.run(rec, 6), 6u);
   // Once per alive peer, in round 0, in peer order; never again.
@@ -204,7 +204,7 @@ TEST(EngineTest, WakeRequestsInOneRoundYieldOneTick) {
   };
   Overlay overlay = make_line(2);
   TrafficMeter meter(2);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   Waker waker;
   (void)engine.run(waker, 5);
   EXPECT_EQ(waker.ticks, (Ticks{{0, 0}, {0, 1}, {1, 1}, {2, 1}}));
@@ -213,7 +213,7 @@ TEST(EngineTest, WakeRequestsInOneRoundYieldOneTick) {
 TEST(EngineTest, WakeRequestsDriveTicksUntilTheyStop) {
   Overlay overlay = make_line(4);
   TrafficMeter meter(4);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   TickRecorder rec({PeerId(3), PeerId(1)}, /*wake_until=*/2);
   (void)engine.run(rec, 5);
   EXPECT_EQ(rec.ticks, (Ticks{{0, 0}, {0, 1}, {0, 2}, {0, 3},  // first round
@@ -225,7 +225,7 @@ TEST(EngineTest, RevivedPeerIsTickedInItsRevivalRound) {
   Overlay overlay = make_line(3);
   overlay.fail(PeerId(2));
   TrafficMeter meter(3);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   ChurnSchedule churn;
   churn.join_at(3, PeerId(2));  // dead from the start
   churn.fail_at(1, PeerId(0));  // dies mid-run...
@@ -239,7 +239,7 @@ TEST(EngineTest, RevivedPeerIsTickedInItsRevivalRound) {
 TEST(EngineTest, EveryRunStartsByTickingEveryAlivePeer) {
   Overlay overlay = make_line(3);
   TrafficMeter meter(3);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   // The first run ends with a wake request still queued; the second run
   // starts from a clean slate: all alive peers, once each.
   TickRecorder first({PeerId(1)}, /*wake_until=*/100);
@@ -252,7 +252,7 @@ TEST(EngineTest, EveryRunStartsByTickingEveryAlivePeer) {
 TEST(EngineTest, RoundCounterAdvancesAcrossRuns) {
   Overlay overlay = make_line(2);
   TrafficMeter meter(2);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   RelayProtocol r1(2);
   engine.run(r1, 10);
   const std::uint64_t after_first = engine.round();
@@ -265,14 +265,14 @@ TEST(EngineTest, RoundCounterAdvancesAcrossRuns) {
 TEST(EngineTest, MismatchedMeterThrows) {
   Overlay overlay = make_line(3);
   TrafficMeter meter(2);
-  EXPECT_THROW(Engine(overlay, meter), InvalidArgument);
+  EXPECT_THROW(Engine(overlay, meter, {}), InvalidArgument);
 }
 
 TEST(EngineTest, DeterministicAcrossIdenticalRuns) {
   auto run_once = [] {
     Overlay overlay = make_line(6);
     TrafficMeter meter(6);
-    Engine engine(overlay, meter);
+    Engine engine(overlay, meter, {});
     RelayProtocol relay(6);
     engine.run(relay, 100);
     return relay.arrival_round_;

@@ -42,7 +42,7 @@ TEST(FailureInjectionTest, ConvergecastNeverCompletesAcrossADeadRelay) {
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   net::SessionMux mux;
   mux.add_phase(mux.add_session(), cast, net::kStandaloneConvergecast);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   ChurnSchedule churn;
   churn.fail_at(1, PeerId(3));  // relay dies while the wave passes
   engine.run(mux, 50, &churn);
@@ -62,7 +62,7 @@ TEST(FailureInjectionTest, LateLeafFailureAfterSendingIsHarmless) {
       [](const std::uint64_t&) { return std::uint64_t{4}; });
   net::SessionMux mux;
   mux.add_phase(mux.add_session(), cast, net::kStandaloneConvergecast);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   ChurnSchedule churn;
   // The leaf (peer 3) sends during round 0; its message is in flight and
   // still delivered. Failing it afterwards changes nothing.

@@ -30,7 +30,7 @@ TEST(FaultModelTest, ZeroLossKeepsExactByteAccounting) {
   // no retransmissions, byte counts identical to the plain engine.
   Overlay overlay = make_line(5);
   TrafficMeter meter(5);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
   agg::ConvergecastPhase<std::uint64_t> cast(
       h, TrafficCategory::kFiltering, [](PeerId) { return std::uint64_t{1}; },
@@ -47,8 +47,7 @@ TEST(FaultModelTest, ConvergecastSurvivesHeavyLoss) {
   Rng rng(1);
   Overlay overlay(random_connected(60, 4.0, rng));
   TrafficMeter meter(60);
-  Engine engine(overlay, meter);
-  engine.set_fault_model(lossy(0.3));
+  Engine engine(overlay, meter, {.fault = lossy(0.3)});
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
   agg::ConvergecastPhase<std::uint64_t> cast(
       h, TrafficCategory::kFiltering,
@@ -83,8 +82,7 @@ TEST(FaultModelTest, NetFilterStaysExactOverLossyLinks) {
   // The driver constructs its own engines internally, so run phases
   // manually over a lossy engine via the phase APIs.
   TrafficMeter meter(50);
-  Engine engine(overlay, meter);
-  engine.set_fault_model(lossy(0.2));
+  Engine engine(overlay, meter, {.fault = lossy(0.2)});
   // filter_candidates/verify_candidates construct internal engines; to
   // exercise loss end-to-end use the building blocks directly instead.
   agg::ConvergecastPhase<std::vector<Value>> phase1(
@@ -125,8 +123,8 @@ TEST(FaultModelTest, LossCostsBytesAndRounds) {
     Rng rng(4);
     Overlay overlay(random_connected(40, 4.0, rng));
     TrafficMeter meter(40);
-    Engine engine(overlay, meter);
-    if (p > 0) engine.set_fault_model(lossy(p));
+    Engine engine(overlay, meter,
+                  {.fault = p > 0 ? lossy(p) : LinkFaultModel{}});
     const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
     agg::ConvergecastPhase<std::uint64_t> cast(
         h, TrafficCategory::kFiltering,
@@ -147,11 +145,10 @@ TEST(FaultModelTest, LossCostsBytesAndRounds) {
 TEST(FaultModelTest, GivesUpOnDeadDestinations) {
   Overlay overlay = make_line(3);
   TrafficMeter meter(3);
-  Engine engine(overlay, meter);
   LinkFaultModel m = lossy(0.1);
   m.max_retries = 3;
   m.retransmit_after = 1;
-  engine.set_fault_model(m);
+  Engine engine(overlay, meter, {.fault = m});
   overlay.fail(PeerId(2));
 
   /// One message into the void.
@@ -176,8 +173,7 @@ TEST(FaultModelTest, DeterministicForSeed) {
     Rng rng(5);
     Overlay overlay(random_connected(30, 4.0, rng));
     TrafficMeter meter(30);
-    Engine engine(overlay, meter);
-    engine.set_fault_model(lossy(0.2, 99));
+    Engine engine(overlay, meter, {.fault = lossy(0.2, 99)});
     const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
     agg::ConvergecastPhase<std::uint64_t> cast(
         h, TrafficCategory::kFiltering,
@@ -194,15 +190,14 @@ TEST(FaultModelTest, DeterministicForSeed) {
 TEST(FaultModelTest, InvalidModelRejected) {
   Overlay overlay = make_line(2);
   TrafficMeter meter(2);
-  Engine engine(overlay, meter);
   LinkFaultModel bad;
   bad.loss_probability = 1.0;
-  EXPECT_THROW(engine.set_fault_model(bad), InvalidArgument);
+  EXPECT_THROW(Engine(overlay, meter, {.fault = bad}), InvalidArgument);
   bad.loss_probability = -0.1;
-  EXPECT_THROW(engine.set_fault_model(bad), InvalidArgument);
+  EXPECT_THROW(Engine(overlay, meter, {.fault = bad}), InvalidArgument);
   LinkFaultModel bad2 = lossy(0.1);
   bad2.retransmit_after = 0;
-  EXPECT_THROW(engine.set_fault_model(bad2), InvalidArgument);
+  EXPECT_THROW(Engine(overlay, meter, {.fault = bad2}), InvalidArgument);
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ TEST(FloodTest, ReachesEveryAlivePeerExactlyOnce) {
                          EXPECT_EQ(Bytes(s.begin(), s.end()), hello);
                          ++deliveries[ctx.self().value()];
                        });
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   run_phase(engine, flood, kStandaloneBroadcast, 200);
   EXPECT_EQ(flood.num_reached(), 100u);
   for (int d : deliveries) EXPECT_EQ(d, 1);
@@ -39,7 +39,7 @@ TEST(FloodTest, DuplicatesAreCountedButSuppressed) {
   TrafficMeter meter(50);
   FlatFloodPhase flood(PeerId(0), Bytes{1}, 4, TrafficCategory::kDissemination,
                        64, ignore);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   run_phase(engine, flood, kStandaloneBroadcast, 200);
   EXPECT_EQ(flood.num_reached(), 50u);
   // A flood on a graph with cycles necessarily sees duplicates.
@@ -56,7 +56,7 @@ TEST(FloodTest, TtlLimitsPropagation) {
   TrafficMeter meter(10);
   FlatFloodPhase flood(PeerId(0), Bytes{1}, 4, TrafficCategory::kDissemination,
                        3, ignore);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   run_phase(engine, flood, kStandaloneBroadcast, 100);
   EXPECT_EQ(flood.num_reached(), 4u);
   EXPECT_TRUE(flood.reached(PeerId(3)));
@@ -73,7 +73,7 @@ TEST(FloodTest, DeadPeersBlockButDoNotCrash) {
   TrafficMeter meter(5);
   FlatFloodPhase flood(PeerId(0), Bytes{1}, 4, TrafficCategory::kDissemination,
                        10, ignore);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   run_phase(engine, flood, kStandaloneBroadcast, 100);
   EXPECT_EQ(flood.num_reached(), 2u);  // 0 and 1; 2 is dead, 3-4 unreachable
 }
@@ -86,7 +86,7 @@ TEST(FloodTest, BytesChargedPerForwardedCopy) {
   TrafficMeter meter(3);
   FlatFloodPhase flood(PeerId(0), Bytes{1}, 16, TrafficCategory::kDissemination,
                        10, ignore);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   run_phase(engine, flood, kStandaloneBroadcast, 100);
   // 0 -> 1, then 1 -> 2 (not back to 0): two copies of 16 bytes.
   EXPECT_EQ(meter.total(TrafficCategory::kDissemination), 32u);
@@ -154,7 +154,7 @@ TEST(FloodTest, ForgedTtlBeyondTheBoundIsRejected) {
     SessionMux mux;
     (void)mux.add_phase(mux.add_session(), flood, kStandaloneBroadcast);
     ForgingProtocol forging(mux, PeerId(9), PeerId(8), forged);
-    Engine engine(overlay, meter);
+    Engine engine(overlay, meter, {});
     EXPECT_THROW((void)engine.run(forging, 100), ProtocolError) << forged;
     EXPECT_FALSE(flood.reached(PeerId(8))) << forged;
   }

@@ -171,6 +171,24 @@ TEST(GossipNetFilterTest, SurvivesLossyLinks) {
   EXPECT_LT(res.stats.max_value_rel_error, 0.10);
 }
 
+TEST(GossipNetFilterTest, HonoursLinkModel) {
+  // Every stage engine runs on the configured links: delay-3 links leave
+  // shares and flood hops in flight longer, so the run takes more rounds.
+  const auto rounds_at = [](std::uint32_t delay) {
+    Rig rig(60, 3000, 23);
+    GossipNetFilterConfig c = config();
+    c.phase1_rounds = 20;
+    c.phase2_rounds = 20;
+    c.link.min_delay = delay;
+    c.link.max_delay = delay;
+    const GossipNetFilter gnf(c);
+    const Value t = rig.workload.threshold_for(0.01);
+    return gnf.run(rig.workload, rig.overlay, PeerId(0), rig.meter, t)
+        .stats.rounds;
+  };
+  EXPECT_GT(rounds_at(3), rounds_at(1));
+}
+
 TEST(GossipNetFilterTest, InvalidConfigThrows) {
   GossipNetFilterConfig c = config();
   c.slack = 1.0;

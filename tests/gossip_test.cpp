@@ -27,7 +27,7 @@ TEST(PushSumTest, ConvergesToGlobalSum) {
   PushSumGossip::Config cfg;
   cfg.rounds = 80;
   PushSumGossip gossip(std::move(initial), cfg);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   engine.run(gossip, cfg.rounds + 2);
   for (std::uint32_t p = 0; p < 100; ++p) {
     EXPECT_NEAR(gossip.estimate_sum(PeerId(p), 0), truth, truth * 0.01)
@@ -44,7 +44,7 @@ TEST(PushSumTest, MassIsConserved) {
   PushSumGossip::Config cfg;
   cfg.rounds = 5;
   PushSumGossip gossip(std::move(initial), cfg);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   // The run drains in-flight shares after the last active round, so the
   // resident mass must equal the initial global mass exactly.
   engine.run(gossip, cfg.rounds + 2);
@@ -62,7 +62,7 @@ TEST(PushSumTest, MultiDimensionalVectorsConvergePerCoordinate) {
   PushSumGossip::Config cfg;
   cfg.rounds = 80;
   PushSumGossip gossip(std::move(initial), cfg);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   engine.run(gossip, cfg.rounds + 2);
   EXPECT_NEAR(gossip.estimate_sum(PeerId(5), 0), 60.0, 1.0);
   EXPECT_NEAR(gossip.estimate_sum(PeerId(5), 1), 60.0, 1.5);  // 20*(0+1+2)
@@ -78,7 +78,7 @@ TEST(PushSumTest, TrafficScalesWithDimensionAndRounds) {
   cfg.bytes_per_coordinate = 4;
   cfg.weight_bytes = 4;
   PushSumGossip gossip(std::move(initial), cfg);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   engine.run(gossip, cfg.rounds + 2);
   // Each peer sends one message of (10+1)*4 + 4 bytes per round.
   const std::uint64_t per_msg = 48;
@@ -99,7 +99,7 @@ TEST(PushSumTest, SpreadShrinksWithMoreRounds) {
     PushSumGossip::Config cfg;
     cfg.rounds = rounds;
     PushSumGossip gossip(std::move(initial), cfg);
-    Engine engine(overlay, meter);
+    Engine engine(overlay, meter, {});
     engine.run(gossip, cfg.rounds + 2);
     return gossip.relative_spread(0);
   };

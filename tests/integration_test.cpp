@@ -70,7 +70,7 @@ TEST(IntegrationTest, RepairThenRunStaysExact) {
   HierarchyMaintenance::Config mc;
   mc.timeout_rounds = 2;
   HierarchyMaintenance maint(initial, mc);
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   ChurnSchedule churn;
   churn.fail_at(2, victim);
   engine.run(maint, 60, &churn);

@@ -38,8 +38,7 @@ TEST(LatencyModelTest, DelayIsSymmetricAndBounded) {
 TEST(LatencyModelTest, UnitModelChangesNothing) {
   Overlay overlay = make_line(5);
   TrafficMeter meter(5);
-  Engine engine(overlay, meter);
-  engine.set_link_model(LinkModel{});  // (1,1)
+  Engine engine(overlay, meter, {.link = LinkModel{}});  // (1,1)
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
   agg::ConvergecastPhase<std::uint64_t> cast(
       h, TrafficCategory::kFiltering, [](PeerId) { return std::uint64_t{1}; },
@@ -56,8 +55,7 @@ TEST(LatencyModelTest, SlowLinksStretchCompletionNotCorrectness) {
     Rng rng(5);
     Overlay overlay(random_connected(50, 4.0, rng));
     TrafficMeter meter(50);
-    Engine engine(overlay, meter);
-    engine.set_link_model(slow_links(1, max_delay));
+    Engine engine(overlay, meter, {.link = slow_links(1, max_delay)});
     const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
     agg::ConvergecastPhase<std::uint64_t> cast(
         h, TrafficCategory::kFiltering,
@@ -84,8 +82,7 @@ TEST(LatencyModelTest, FixedDelayLineIsExactlyPredictable) {
   // 3 hops * 3 rounds; total completion ~9-11 rounds.
   Overlay overlay = make_line(4);
   TrafficMeter meter(4);
-  Engine engine(overlay, meter);
-  engine.set_link_model(slow_links(3, 3));
+  Engine engine(overlay, meter, {.link = slow_links(3, 3)});
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
   agg::ConvergecastPhase<std::uint64_t> cast(
       h, TrafficCategory::kFiltering, [](PeerId) { return std::uint64_t{1}; },
@@ -102,12 +99,10 @@ TEST(LatencyModelTest, ComposesWithLossModel) {
   Rng rng(6);
   Overlay overlay(random_connected(30, 4.0, rng));
   TrafficMeter meter(30);
-  Engine engine(overlay, meter);
-  engine.set_link_model(slow_links(1, 4));
   LinkFaultModel fault;
   fault.loss_probability = 0.2;
   fault.retransmit_after = 6;  // cover the worst link delay + ack
-  engine.set_fault_model(fault);
+  Engine engine(overlay, meter, {.fault = fault, .link = slow_links(1, 4)});
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
   agg::ConvergecastPhase<std::uint64_t> cast(
       h, TrafficCategory::kFiltering, [](PeerId) { return std::uint64_t{1}; },
@@ -121,9 +116,10 @@ TEST(LatencyModelTest, ComposesWithLossModel) {
 TEST(LatencyModelTest, InvalidModelsRejected) {
   Overlay overlay = make_line(2);
   TrafficMeter meter(2);
-  Engine engine(overlay, meter);
-  EXPECT_THROW(engine.set_link_model(slow_links(0, 1)), InvalidArgument);
-  EXPECT_THROW(engine.set_link_model(slow_links(5, 2)), InvalidArgument);
+  EXPECT_THROW(Engine(overlay, meter, {.link = slow_links(0, 1)}),
+               InvalidArgument);
+  EXPECT_THROW(Engine(overlay, meter, {.link = slow_links(5, 2)}),
+               InvalidArgument);
 }
 
 }  // namespace

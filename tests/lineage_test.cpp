@@ -67,9 +67,9 @@ std::uint64_t run_convergecast(World& world, obs::Context& ctx,
   (void)mux.add_phase(sid, phase, opts);
 
   TrafficMeter meter(kPeers);
-  Engine engine(world.overlay, meter);
-  engine.set_obs(&ctx);
-  if (fault != nullptr) engine.set_fault_model(*fault);
+  Engine engine(world.overlay, meter,
+                {.fault = fault != nullptr ? *fault : net::LinkFaultModel{},
+                 .obs = &ctx});
   const std::uint64_t rounds = engine.run(mux, 5000);
   EXPECT_TRUE(phase.complete());
   if (retransmissions != nullptr) *retransmissions = engine.retransmissions();
@@ -239,8 +239,7 @@ TEST(LineageTest, ChurnedPeerDropsOutOfCriticalPaths) {
   churn.fail_at(depth[victim.value()], victim);
 
   TrafficMeter meter(kPeers);
-  Engine engine(overlay, meter);
-  engine.set_obs(&ctx);
+  Engine engine(overlay, meter, {.obs = &ctx});
   (void)engine.run(mux, 100, &churn);
   EXPECT_TRUE(cast.complete());
   EXPECT_GT(receipts, 0u);

@@ -95,27 +95,25 @@ TEST(LinkClassModelTest, CapacityLimitedFlag) {
 TEST(LinkModelTest, InvalidModelsRejected) {
   Overlay overlay = make_line(2);
   TrafficMeter meter(2);
-  Engine engine(overlay, meter);
   LinkModel zero;
   zero.min_delay = 0;
-  EXPECT_THROW(engine.set_link_model(zero), InvalidArgument);
+  EXPECT_THROW(Engine(overlay, meter, {.link = zero}), InvalidArgument);
   LinkModel inverted;
   inverted.min_delay = 5;
   inverted.max_delay = 2;
-  EXPECT_THROW(engine.set_link_model(inverted), InvalidArgument);
+  EXPECT_THROW(Engine(overlay, meter, {.link = inverted}), InvalidArgument);
   LinkModel no_horizon;
   no_horizon.max_backlog_rounds = 0;
-  EXPECT_THROW(engine.set_link_model(no_horizon), InvalidArgument);
+  EXPECT_THROW(Engine(overlay, meter, {.link = no_horizon}), InvalidArgument);
 }
 
 TEST(LinkModelTest, CapacityStretchesRoundsNotBytes) {
   auto run = [](std::uint64_t capacity) {
     Overlay overlay = make_line(4);
     TrafficMeter meter(4);
-    Engine engine(overlay, meter);
     LinkModel link;
     link.classes = LinkClassModel::uniform(capacity);
-    engine.set_link_model(link);
+    Engine engine(overlay, meter, {.link = link});
     const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
     auto cast = counting_cast(h, 1000);  // 1000-byte messages
     const std::uint64_t rounds =
@@ -140,11 +138,10 @@ TEST(LinkModelTest, BacklogClampBoundsDelayAndReportsClampedBytes) {
   for (std::uint32_t i = 1; i < 9; ++i) t.add_edge(PeerId(0), PeerId(i));
   Overlay overlay(std::move(t));
   TrafficMeter meter(9);
-  Engine engine(overlay, meter);
   LinkModel link;
   link.classes = LinkClassModel::uniform(100);
   link.max_backlog_rounds = 3;  // horizon: 300 bytes per link
-  engine.set_link_model(link);
+  Engine engine(overlay, meter, {.link = link});
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
   auto cast = counting_cast(h, 1000);  // every message overflows the horizon
   const std::uint64_t rounds =
@@ -201,17 +198,15 @@ TEST(LinkModelTest, QueueDelayBeyondRetransmitTimerStaysExactlyOnce) {
   auto run = [] {
     Overlay overlay = make_line(5);
     TrafficMeter meter(5);
-    Engine engine(overlay, meter);
     LinkModel link;
     link.classes = LinkClassModel::uniform(100);
-    engine.set_link_model(link);
     LinkFaultModel fault;
     // Near-zero loss arms the reliable transport without actually losing
     // anything: every retransmission below is queueing-driven.
     fault.loss_probability = 1e-9;
     fault.retransmit_after = 2;  // fires long before a 10-round transfer
     fault.max_retries = 50;
-    engine.set_fault_model(fault);
+    Engine engine(overlay, meter, {.fault = fault, .link = link});
     const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
     auto cast = counting_cast(h, 1000);  // 10 transfer rounds per hop
     const std::uint64_t rounds =
@@ -233,17 +228,15 @@ TEST(LinkModelTest, LossAndQueueingComposeToExactResult) {
   Rng rng(6);
   Overlay overlay(random_connected(30, 4.0, rng));
   TrafficMeter meter(30);
-  Engine engine(overlay, meter);
   LinkModel link;
   link.min_delay = 1;
   link.max_delay = 3;
   link.classes = LinkClassModel::mixed(0.3, 0.4, 9);
-  engine.set_link_model(link);
   LinkFaultModel fault;
   fault.loss_probability = 0.15;
   fault.retransmit_after = 8;
   fault.max_retries = 100;
-  engine.set_fault_model(fault);
+  Engine engine(overlay, meter, {.fault = fault, .link = link});
   const agg::Hierarchy h = agg::build_bfs_hierarchy(overlay, PeerId(0));
   auto cast = counting_cast(h, 2000);
   run_phase(engine, cast, kStandaloneConvergecast, 5000);

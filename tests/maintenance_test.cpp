@@ -36,7 +36,7 @@ TEST(MaintenanceTest, StableNetworkStaysStable) {
   Rng rng(1);
   Fixture fx(net::random_tree(50, 3, rng));
   HierarchyMaintenance maint(fx.hierarchy, fast_config());
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   engine.run(maint, 20);
   EXPECT_TRUE(maint.stabilized(fx.overlay));
   const Hierarchy snap = maint.snapshot(fx.overlay);
@@ -51,7 +51,7 @@ TEST(MaintenanceTest, HeartbeatsFlowEveryRound) {
   Rng rng(2);
   Fixture fx(net::random_tree(10, 3, rng));
   HierarchyMaintenance maint(fx.hierarchy, fast_config());
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   engine.run(maint, 5);
   // Every peer heartbeats all neighbors every round: 2 * edges * rounds
   // messages (minus the last round still in flight).
@@ -63,7 +63,7 @@ TEST(MaintenanceTest, LeafFailureNeedsNoRepair) {
   Rng rng(3);
   Fixture fx(net::random_tree(30, 3, rng));
   HierarchyMaintenance maint(fx.hierarchy, fast_config());
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   // Find a leaf.
   PeerId leaf(0);
   for (std::uint32_t p = 0; p < 30; ++p) {
@@ -91,7 +91,7 @@ TEST(MaintenanceTest, InternalFailureRepairsWhenRouteExists) {
   }
   Fixture fx(std::move(t));
   HierarchyMaintenance maint(fx.hierarchy, fast_config());
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   ChurnSchedule churn;
   churn.fail_at(3, PeerId(1));  // internal node on one side of the ring
   engine.run(maint, 60, &churn);
@@ -114,7 +114,7 @@ TEST(MaintenanceTest, JoiningPeerAttaches) {
   const Hierarchy initial = build_bfs_hierarchy(overlay, PeerId(0));
   EXPECT_EQ(initial.num_members(), 4u);
   HierarchyMaintenance maint(initial, fast_config());
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   ChurnSchedule churn;
   churn.join_at(3, PeerId(4));
   engine.run(maint, 30, &churn);
@@ -135,7 +135,7 @@ TEST_P(MaintenanceChurnTest, RandomChurnConvergesOnWellConnectedGraphs) {
   // Well-connected overlay: failures rarely disconnect it.
   Fixture fx(net::random_connected(60, 6.0, rng));
   HierarchyMaintenance maint(fx.hierarchy, fast_config());
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   ChurnSchedule churn = ChurnSchedule::random_failures(
       2, 6, 60, fail_prob, PeerId(0), rng);
   engine.run(maint, 100, &churn);
@@ -180,7 +180,7 @@ TEST(MaintenanceTest, DepthCountersMatchSnapshotAfterRepair) {
   }
   Fixture fx(std::move(t));
   HierarchyMaintenance maint(fx.hierarchy, fast_config());
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   ChurnSchedule churn;
   churn.fail_at(2, PeerId(7));
   engine.run(maint, 50, &churn);

@@ -45,7 +45,7 @@ TEST(MulticastTest, EveryMemberReceivesExactlyOnce) {
         receivers.insert(ctx.self().value());
       });
   mc.set_payload(payload, 16);
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   run_phase(engine, mc, kStandaloneBroadcast, 200);
   ASSERT_TRUE(mc.complete());
   EXPECT_EQ(mc.num_received(), 100u);
@@ -61,7 +61,7 @@ TEST(MulticastTest, ChargesOneMessagePerEdge) {
   FlatMulticastPhase mc(fx.hierarchy, TrafficCategory::kDissemination,
                         [](PhaseContext&, std::span<const std::uint8_t>) {});
   mc.set_payload(kOneByte, 10);
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   run_phase(engine, mc, kStandaloneBroadcast, 100);
   // N-1 tree edges, one message of 10 bytes each.
   EXPECT_EQ(fx.meter.num_messages(), 63u);
@@ -77,7 +77,7 @@ TEST(MulticastTest, CompletesInHeightRounds) {
   FlatMulticastPhase mc(fx.hierarchy, TrafficCategory::kDissemination,
                         [](PhaseContext&, std::span<const std::uint8_t>) {});
   mc.set_payload(kOneByte, 1);
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   const std::uint64_t rounds =
       run_phase(engine, mc, kStandaloneBroadcast, 100);
   EXPECT_TRUE(mc.complete());
@@ -91,7 +91,7 @@ TEST(MulticastTest, SingletonRootOnlyDeliversLocally) {
       fx.hierarchy, TrafficCategory::kDissemination,
       [&](PhaseContext&, std::span<const std::uint8_t>) { ++deliveries; });
   mc.set_payload(kOneByte, 1);
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   run_phase(engine, mc, kStandaloneBroadcast, 10);
   EXPECT_TRUE(mc.complete());
   EXPECT_EQ(deliveries, 1);
@@ -107,7 +107,7 @@ TEST(MulticastTest, RootHandlerRunsFirst) {
                           order.push_back(ctx.self().value());
                         });
   mc.set_payload(kOneByte, 1);
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   run_phase(engine, mc, kStandaloneBroadcast, 100);
   ASSERT_FALSE(order.empty());
   EXPECT_EQ(order.front(), 0u);

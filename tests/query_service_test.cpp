@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/topology.h"
+#include "obs/context.h"
 #include "workload/workload.h"
 
 namespace nf::core {
@@ -141,6 +142,32 @@ TEST(QueryServiceTest, ServeStaysExactUnderLoss) {
   const QueryServiceStats clean = serve(0.0);
   const QueryServiceStats lossy = serve(0.05);
   EXPECT_GT(lossy.request_cost_per_peer, clean.request_cost_per_peer);
+}
+
+TEST(QueryServiceTest, ServeStagesHonourLinkModel) {
+  // Every serve() stage runs on the configured links: a delay-3 model slows
+  // the request and reply stages, not just the shared netFilter run.
+  const auto request_reply_rounds = [](std::uint32_t delay) {
+    Rig rig(12);
+    obs::Context ctx;
+    NetFilterConfig cfg = config();
+    cfg.link.min_delay = delay;
+    cfg.link.max_delay = delay;
+    cfg.obs = &ctx;
+    const QueryService svc(cfg);
+    QueryServiceStats stats;
+    const auto responses =
+        svc.serve({{PeerId(5), 0.1}, {PeerId(40), 0.03}}, rig.workload,
+                  rig.hierarchy, rig.overlay, rig.meter, &stats);
+    for (const auto& r : responses) {
+      EXPECT_EQ(r.frequent, rig.workload.frequent_items(r.threshold));
+    }
+    // engine/rounds sums all three stage engines; the netFilter stage's
+    // share is its rounds_total.
+    return ctx.registry.counter("engine/rounds").value() -
+           stats.netfilter.rounds_total;
+  };
+  EXPECT_GT(request_reply_rounds(3), request_reply_rounds(1));
 }
 
 TEST(QueryServiceTest, RejectsBadInput) {

@@ -74,7 +74,7 @@ TEST(SessionMuxTest, RoutesEnvelopesToTheirOwnSession) {
   const SessionId sb = mux.add_session("b");
   (void)mux.add_phase(sb, b, opts);
 
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   (void)engine.run(mux, 100);
 
   EXPECT_TRUE(mux.all_done());
@@ -99,7 +99,7 @@ TEST(SessionMuxTest, PerSessionTrafficTalliesSplitTheMeter) {
   const SessionId sb = mux.add_session("named");
   (void)mux.add_phase(sb, b, opts);
 
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   (void)engine.run(mux, 100);
 
   const auto traffic = mux.traffic();
@@ -200,7 +200,7 @@ TEST(SessionMuxTest, BuffersEarlyArrivalsUntilThePhaseOpens) {
   const PhaseId sink_pid = mux.add_phase(s, sink, sink_opts);
   ASSERT_EQ(sink_pid, 1u);
 
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   (void)engine.run(mux, 100);
 
   EXPECT_TRUE(mux.all_done());
@@ -229,7 +229,7 @@ TEST(SessionMuxTest, OpenOnMessageDeliversImmediately) {
   PhaseOptions sink_opts;  // open_on_message = true
   (void)mux.add_phase(s, sink, sink_opts);
 
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   (void)engine.run(mux, 100);
 
   EXPECT_TRUE(mux.all_done());
@@ -278,7 +278,7 @@ TEST(SessionMuxTest, WithoutWakeRequestsEachAlivePeerIsTickedOnce) {
   (void)mux.add_phase(mux.add_session(), relay, opts);
   CountingProtocol counting(mux);
 
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   const std::uint64_t rounds = engine.run(counting, 100);
 
   EXPECT_TRUE(mux.all_done());
@@ -325,7 +325,7 @@ TEST(SessionMuxTest, AllPeersPhaseOpensWhenADeadPeerRevives) {
   ChurnSchedule churn;
   churn.join_at(4, PeerId(5));
 
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
   (void)engine.run(mux, 100, &churn);
 
   EXPECT_TRUE(mux.all_done());

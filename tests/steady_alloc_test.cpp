@@ -68,7 +68,7 @@ TEST(SteadyAllocTest, WarmedFlatRunAllocatesNothing) {
   Overlay overlay(net::random_tree(kPeers, 3, rng));
   TrafficMeter meter(overlay.num_peers());
   const Hierarchy hierarchy = build_bfs_hierarchy(overlay, PeerId(0));
-  Engine engine(overlay, meter);
+  Engine engine(overlay, meter, {});
 
   // Warm-up: one full run grows every slab, outbox and inbox to its
   // high-water mark.
@@ -117,9 +117,8 @@ TEST(SteadyAllocTest, SteadyAllocsMirroredIntoObsCounter) {
   Overlay overlay(net::random_tree(64, 3, rng));
   TrafficMeter meter(overlay.num_peers());
   const Hierarchy hierarchy = build_bfs_hierarchy(overlay, PeerId(0));
-  Engine engine(overlay, meter);
   obs::Context obs;
-  engine.set_obs(&obs);
+  Engine engine(overlay, meter, {.obs = &obs});
 
   FlatAggregateConvergecastPhase warm = make_cast(hierarchy, &obs);
   run_phase(engine, warm, kStandaloneConvergecast, 100, &obs);

@@ -133,9 +133,7 @@ std::unique_ptr<Context> run_with_obs(std::uint32_t threads) {
   net::TrafficMeter meter(kPeers);
 
   auto ctx = std::make_unique<Context>();
-  net::Engine engine(overlay, meter);
-  engine.set_threads(threads);
-  engine.set_obs(ctx.get());
+  net::Engine engine(overlay, meter, {.threads = threads, .obs = ctx.get()});
   agg::ConvergecastPhase<std::uint64_t> cast(
       h, net::TrafficCategory::kFiltering,
       [&](PeerId p) { return w.local_items(p).size(); },

@@ -64,7 +64,7 @@ RoundTrip round_trip(Fixture& fx, PeerId requester,
                        });
   (void)mux.add_phase(sid, request, net::kStandaloneBroadcast);
   reply_pid = mux.add_phase(sid, reply, net::PhaseOptions{});
-  Engine engine(fx.overlay, fx.meter);
+  Engine engine(fx.overlay, fx.meter, {});
   out.rounds = engine.run(mux, 200);
   EXPECT_TRUE(mux.all_done());
   return out;

@@ -333,10 +333,10 @@ void check_arena_map(const SourceFile& file, const std::vector<Tok>& t,
 // obs::Context rides protocol hot paths as a nullable pointer, so (a) every
 // dereference needs a null guard in sight, and (b) string-keyed registry
 // lookups (registry.counter("...")) may not sit inside loops — cache the
-// handle once (see Engine::set_obs) and bump it. src/obs itself is exempt:
-// it implements the registry. (The former rule (c) — LinkStats::charge
-// outside net/engine.cpp — moved to the whole-program nf-cap-thread pass,
-// nf_lint_cap.cpp.)
+// handle once (as the Engine constructor does) and bump it. src/obs itself
+// is exempt: it implements the registry. (The former rule (c) —
+// LinkStats::charge outside net/engine.cpp — moved to the whole-program
+// nf-cap-thread pass, nf_lint_cap.cpp.)
 
 void check_obs_context(const SourceFile& file, const std::vector<Tok>& t,
                        const std::vector<int>& loop_depth,
@@ -381,7 +381,8 @@ void check_obs_context(const SourceFile& file, const std::vector<Tok>& t,
         add_finding(out, file, Check::kObsContext, t[i].line,
                     "registry." + m +
                         "(...) inside a loop does a string-keyed lookup per "
-                        "iteration; hoist the handle (see Engine::set_obs)");
+                        "iteration; hoist the handle (see the Engine "
+                        "constructor)");
       }
     }
   }
