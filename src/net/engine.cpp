@@ -1,6 +1,7 @@
 #include "net/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <utility>
 
@@ -15,6 +16,23 @@ namespace nf::net {
 // sure every TrafficCategory fits it.
 static_assert(kNumTrafficCategories <= obs::LinkStats::kMaxCategories,
               "obs::LinkStats::kMaxCategories too small for TrafficCategory");
+
+namespace {
+
+/// Moves the entries of a power-of-two ring indexed by `key & (size - 1)`,
+/// for keys in [first, last), into a new ring of `size` entries (a power
+/// of two that holds them); every other entry is `fill`.
+template <typename T>
+void rehome(std::vector<T>& ring, std::size_t size, std::uint64_t first,
+            std::uint64_t last, T fill) {
+  std::vector<T> grown(size, fill);
+  for (std::uint64_t key = first; key < last; ++key) {
+    grown[key & (size - 1)] = ring[key & (ring.size() - 1)];
+  }
+  ring.swap(grown);
+}
+
+}  // namespace
 
 std::uint64_t Context::round() const { return engine_.round(); }
 
@@ -155,6 +173,11 @@ Engine::Engine(Overlay& overlay, TrafficMeter& meter,
   transit_ring_.resize(std::max<std::size_t>(2, span));
   ring_slabs_.resize(transit_ring_.size());
   if (link_capacity_on_) link_queues_.configure(overlay_.num_peers());
+  if (lossy_) {
+    retry_wheel_.resize(std::size_t{fault_.retransmit_after} + 1);
+    // One round more than the farthest delivery offset (ring size - 1).
+    front_history_.assign(transit_ring_.size() + 1, next_msg_id_);
+  }
 
   obs::Context* const obs = config.obs;
   if (obs == nullptr) return;
@@ -213,15 +236,150 @@ std::span<const std::uint8_t> Engine::resolve(const PayloadRef& ref) const {
 }
 
 void Engine::ack_received(PeerId original_sender, std::uint64_t msg_id) {
-  auto& list = pending_by_sender_[original_sender.value()];
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (list[i].message.msg_id == msg_id) {
-      list.erase(list.begin() + i);
-      --pending_count_;
-      return;
+  Unacked* const slot = find_unacked(msg_id);
+  // No live slot: a duplicate ACK for a message already acknowledged (or
+  // given up).
+  if (slot == nullptr) return;
+  ensure(slot->envelope.from == original_sender,
+         "ACK names another sender's message");
+  finish_unacked(msg_id);
+}
+
+std::uint64_t Engine::register_unacked(
+    const Envelope& envelope, std::span<const std::uint8_t> flat_bytes) {
+  if (next_msg_id_ - unacked_front_ == unacked_index_.size()) {
+    rehome(unacked_index_, std::max<std::size_t>(64, 2 * unacked_index_.size()),
+           unacked_front_, next_msg_id_, kNone);
+  }
+  std::uint32_t s = 0;
+  if (free_slots_.empty()) {
+    s = static_cast<std::uint32_t>(unacked_slots_.size());
+    // Slot and free lists are reserved in begin_steady_state().
+    unacked_slots_.emplace_back();
+  } else {
+    s = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Unacked& slot = unacked_slots_[s];
+  slot.envelope = envelope;
+  slot.attempts = 1;
+  stash_payload(flat_bytes, slot);
+  const std::uint64_t id = next_msg_id_++;
+  unacked_index_[id & (unacked_index_.size() - 1)] = s;
+  ++pending_count_;
+  // Wheel buckets are cleared when due but never shrunk (and reserved in
+  // begin_steady_state()).
+  std::vector<std::uint64_t>& bucket = retry_wheel_[static_cast<std::size_t>(
+      (round_ + fault_.retransmit_after) % retry_wheel_.size())];
+  bucket.push_back(id);
+  return id;
+}
+
+Engine::Unacked* Engine::find_unacked(std::uint64_t msg_id) {
+  if (msg_id < unacked_front_ || msg_id >= next_msg_id_) return nullptr;
+  const std::uint32_t s = unacked_index_[msg_id & (unacked_index_.size() - 1)];
+  return s != kNone ? &unacked_slots_[s] : nullptr;
+}
+
+void Engine::finish_unacked(std::uint64_t msg_id) {
+  const std::uint64_t mask = unacked_index_.size() - 1;
+  std::uint32_t& s = unacked_index_[msg_id & mask];
+  Unacked& slot = unacked_slots_[s];
+  if (slot.envelope.flat.valid() && slot.envelope.flat.length != 0) {
+    release_chunk(slot.chunk);
+  }
+  slot.envelope.payload.reset();  // a typed payload's object goes now
+  // Reserved alongside the slots: never grows.
+  free_slots_.push_back(s);
+  s = kNone;
+  --pending_count_;
+  while (unacked_front_ < next_msg_id_ &&
+         unacked_index_[unacked_front_ & mask] == kNone) {
+    ++unacked_front_;
+  }
+}
+
+std::span<const std::uint8_t> Engine::unacked_payload(
+    const Unacked& slot) const {
+  const std::uint32_t length = slot.envelope.flat.length;
+  if (!slot.envelope.flat.valid() || length == 0) return {};
+  return {payload_chunks_[slot.chunk].bytes.data() + slot.offset, length};
+}
+
+void Engine::stash_payload(std::span<const std::uint8_t> bytes,
+                           Unacked& slot) {
+  if (bytes.empty()) return;
+  const auto fits = [&bytes](const PayloadChunk& c) {
+    return c.used + bytes.size() <= c.bytes.size();
+  };
+  if (open_chunk_ == kNone || !fits(payload_chunks_[open_chunk_])) {
+    // Close the open chunk (recycled now if nothing in it is live, else by
+    // its last release_chunk()) and open a free one that fits, or a new one.
+    if (open_chunk_ != kNone && payload_chunks_[open_chunk_].live == 0) {
+      free_chunks_.push_back(open_chunk_);
+    }
+    open_chunk_ = kNone;
+    for (std::size_t i = free_chunks_.size(); i-- > 0;) {
+      if (payload_chunks_[free_chunks_[i]].bytes.size() >= bytes.size()) {
+        open_chunk_ = free_chunks_[i];
+        free_chunks_.erase(free_chunks_.begin() +
+                           static_cast<std::ptrdiff_t>(i));
+        break;
+      }
+    }
+    if (open_chunk_ == kNone) {
+      constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
+      open_chunk_ = static_cast<std::uint32_t>(payload_chunks_.size());
+      payload_chunks_.emplace_back();
+      payload_chunks_.back().bytes.resize(
+          std::max(kChunkBytes, std::bit_ceil(bytes.size())));
     }
   }
-  // Unmatched ACK: a duplicate for a message already acknowledged.
+  PayloadChunk& c = payload_chunks_[open_chunk_];
+  std::copy(bytes.begin(), bytes.end(),
+            c.bytes.begin() + static_cast<std::ptrdiff_t>(c.used));
+  slot.chunk = open_chunk_;
+  slot.offset = c.used;
+  c.used += static_cast<std::uint32_t>(bytes.size());
+  ++c.live;
+}
+
+void Engine::release_chunk(std::uint32_t chunk) {
+  PayloadChunk& c = payload_chunks_[chunk];
+  if (--c.live != 0) return;
+  c.used = 0;  // nothing live: the open chunk refills from the start
+  if (chunk != open_chunk_) free_chunks_.push_back(chunk);
+}
+
+bool Engine::mark_delivered(std::uint64_t msg_id) {
+  const std::uint64_t word = msg_id >> 6;
+  ensure(word >= delivered_base_,
+         "delivered bit dropped while a copy was still in transit");
+  if (word - delivered_base_ >= delivered_.size()) {
+    // Double until the window covers every msg id assigned so far.
+    const std::uint64_t span = ((next_msg_id_ - 1) >> 6) - delivered_base_ + 1;
+    std::size_t size = std::max<std::size_t>(64, 2 * delivered_.size());
+    while (size < span) size *= 2;
+    rehome(delivered_, size, delivered_base_,
+           delivered_base_ + delivered_.size(), std::uint64_t{0});
+  }
+  std::uint64_t& bits = delivered_[word & (delivered_.size() - 1)];
+  const std::uint64_t bit = std::uint64_t{1} << (msg_id & 63);
+  const bool seen = (bits & bit) != 0;
+  bits |= bit;
+  return seen;
+}
+
+void Engine::forget_delivered_below(std::uint64_t msg_id) {
+  const std::uint64_t word = msg_id >> 6;
+  if (word <= delivered_base_) return;
+  // Zero the dropped words: their slots come back for later msg ids.
+  const std::uint64_t n =
+      std::min<std::uint64_t>(word - delivered_base_, delivered_.size());
+  for (std::uint64_t w = delivered_base_; w < delivered_base_ + n; ++w) {
+    delivered_[w & (delivered_.size() - 1)] = 0;
+  }
+  delivered_base_ = word;
 }
 
 void Engine::predispatch(std::vector<Outgoing>& inbox, const ShardPlan& plan) {
@@ -233,6 +391,13 @@ void Engine::predispatch(std::vector<Outgoing>& inbox, const ShardPlan& plan) {
   // Shard outbox slabs from the previous round were drained into ring-slot
   // slabs at the merge barrier; reclaim them (capacity kept).
   for (auto& slab : shard_slabs_) slab.reset();
+  // Msg ids below the unacked front of front_history_.size() rounds ago
+  // have no copy left in transit: their delivered bits can go.
+  if (lossy_) {
+    forget_delivered_below(
+        front_history_[static_cast<std::size_t>(round_ %
+                                                front_history_.size())]);
+  }
   for (std::size_t i = 0; i < inbox.size(); ++i) {
     Outgoing& out = inbox[i];
     // Messages to peers that died in transit are dropped (the network does
@@ -259,13 +424,10 @@ void Engine::predispatch(std::vector<Outgoing>& inbox, const ShardPlan& plan) {
           Envelope{out.envelope.to, out.envelope.from,
                    TrafficCategory::kControl, fault_.ack_bytes, {}}});
       // Exactly-once delivery: retransmitted duplicates stop here.
-      auto& seen = seen_by_receiver_[out.envelope.to.value()];
-      const auto it = std::lower_bound(seen.begin(), seen.end(), out.msg_id);
-      if (it != seen.end() && *it == out.msg_id) {
+      if (mark_delivered(out.msg_id)) {
         ++duplicates_;
         continue;
       }
-      seen.insert(it, out.msg_id);
     }
     // The message will reach its handler this round: mark the delivery in
     // the lineage DAG. Dead-destination drops, link losses and suppressed
@@ -429,25 +591,87 @@ void Engine::begin_steady_state() {
   for (auto& s : ring_slabs_) s.reserve(slab_cap);
   for (auto& b : transit_ring_) b.reserve(bucket_cap);
   inbox_scratch_.reserve(bucket_cap);
+  if (!lossy_) return;
+  // Loss draws differ from run to run, so a warmed lossy run may hold more
+  // messages unacked, or due in one round, than the warm-up's peak: give
+  // the reliability rings and wheel buckets twice their warmed size.
+  rehome(unacked_index_, std::max<std::size_t>(64, 2 * unacked_index_.size()),
+         unacked_front_, next_msg_id_, kNone);
+  rehome(delivered_, std::max<std::size_t>(64, 2 * delivered_.size()),
+         delivered_base_, delivered_base_ + delivered_.size(),
+         std::uint64_t{0});
+  unacked_slots_.reserve(2 * unacked_slots_.size());
+  free_slots_.reserve(unacked_slots_.capacity());
+  const std::size_t chunks = payload_chunks_.size();
+  payload_chunks_.reserve(2 * chunks);
+  for (std::size_t i = 0; i < chunks; ++i) {
+    free_chunks_.push_back(static_cast<std::uint32_t>(payload_chunks_.size()));
+    payload_chunks_.emplace_back();
+    payload_chunks_.back().bytes.resize(payload_chunks_[i].bytes.size());
+  }
+  free_chunks_.reserve(payload_chunks_.size());
+  std::size_t due_cap = 0;
+  for (const auto& b : retry_wheel_) due_cap = std::max(due_cap, b.capacity());
+  for (auto& bucket : retry_wheel_) bucket.reserve(2 * due_cap);
+  due_scratch_.reserve(2 * due_cap);
+}
+
+void Engine::merge_runs() {
+  // Every run is already in canonical key order: engine_sends_ holds the
+  // ACKs, keyed (inbox index, 0) in inbox order, and a shard's outbox holds
+  // its deliveries' sends in inbox order, then its ticks' sends in peer
+  // order. Keys are unique (ACKs take minor 0 of their delivery slot,
+  // handler sends start at 1), so merging the runs yields the serial
+  // engine's send order without a sort.
+  merge_order_.clear();
+  merge_runs_.clear();
+  std::size_t total = 0;
+  const auto add_run = [&](std::vector<Context::KeyedSend>& run) {
+    total += run.size();
+    if (!run.empty()) {
+      // Reserved to the shard count + 1 at run start: never grows.
+      merge_runs_.push_back(MergeRun{run.data(), run.data() + run.size()});
+    }
+  };
+  add_run(engine_sends_);
+  for (auto& sc : shards_) add_run(sc.outbox);
+  merge_order_.reserve(total);
+  const auto before = [](const Context::KeyedSend& a,
+                         const Context::KeyedSend& b) {
+    return a.major != b.major ? a.major < b.major : a.minor < b.minor;
+  };
+  while (!merge_runs_.empty()) {
+    // Take from the run with the smallest head for as long as its head
+    // stays below every other run's head.
+    std::size_t best = 0;
+    for (std::size_t r = 1; r < merge_runs_.size(); ++r) {
+      if (before(*merge_runs_[r].next, *merge_runs_[best].next)) best = r;
+    }
+    const Context::KeyedSend* bound = nullptr;
+    for (std::size_t r = 0; r < merge_runs_.size(); ++r) {
+      if (r == best) continue;
+      if (bound == nullptr || before(*merge_runs_[r].next, *bound)) {
+        bound = merge_runs_[r].next;
+      }
+    }
+    MergeRun& run = merge_runs_[best];
+    do {
+      merge_order_.push_back(run.next);
+      ++run.next;
+      if (run.next == run.end) break;
+      // A run out of order would silently reorder the send stream.
+      ensure(before(*(run.next - 1), *run.next),
+             "barrier merge: a send run is out of canonical order");
+    } while (bound == nullptr || before(*run.next, *bound));
+    if (run.next == run.end) {
+      run = merge_runs_.back();
+      merge_runs_.pop_back();
+    }
+  }
 }
 
 void Engine::merge_and_finalize() {
-  merge_scratch_.clear();
-  std::size_t total = engine_sends_.size();
-  for (const auto& sc : shards_) total += sc.outbox.size();
-  merge_scratch_.reserve(total);
-  for (auto& ks : engine_sends_) merge_scratch_.push_back(std::move(ks));
-  for (auto& sc : shards_) {
-    for (auto& ks : sc.outbox) merge_scratch_.push_back(std::move(ks));
-  }
-  // Canonical order. Keys are unique (ACKs take minor 0 of their delivery
-  // slot, handler sends start at 1), so this is a total order identical to
-  // the serial engine's send order.
-  std::sort(merge_scratch_.begin(), merge_scratch_.end(),
-            [](const Context::KeyedSend& a, const Context::KeyedSend& b) {
-              return a.major != b.major ? a.major < b.major
-                                        : a.minor < b.minor;
-            });
+  merge_runs();
 
   // Topology telemetry: charge every send of this round — per-level byte/
   // message matrix, per-level series counters and the heavy-hitter link
@@ -458,10 +682,10 @@ void Engine::merge_and_finalize() {
   // the telemetry plane's marginal cost, so it bills to the overhead meter.
   if (link_stats_ != nullptr) {
     const obs::WallTime t0 = obs::wall_now();
-    for (const Context::KeyedSend& ks : merge_scratch_) {
-      link_stats_->charge(ks.envelope.from.value(), ks.envelope.to.value(),
-                          static_cast<std::size_t>(ks.envelope.category),
-                          ks.envelope.bytes);
+    for (const Context::KeyedSend* ks : merge_order_) {
+      link_stats_->charge(ks->envelope.from.value(), ks->envelope.to.value(),
+                          static_cast<std::size_t>(ks->envelope.category),
+                          ks->envelope.bytes);
     }
     round_obs_ns_ += obs::elapsed_ns(t0);
   }
@@ -480,7 +704,8 @@ void Engine::merge_and_finalize() {
       batch_msgs = 0;
     }
   };
-  for (auto& ks : merge_scratch_) {
+  for (Context::KeyedSend* const next : merge_order_) {
+    Context::KeyedSend& ks = *next;
     if (batch_msgs != 0 && (ks.envelope.from != batch_from ||
                             ks.envelope.category != batch_cat)) {
       flush();
@@ -496,7 +721,7 @@ void Engine::merge_and_finalize() {
     }
     // Stamp the lineage id here, in canonical order, so ids are identical
     // for any shard count. ACKs are engine bookkeeping and stay unstamped;
-    // retransmissions re-admit the pristine Pending copy, which keeps the
+    // retransmissions re-admit the unacked slot's envelope, which keeps the
     // id assigned at first admission.
     if (lineage_ != nullptr && ks.is_ack == 0) {
       const obs::LineageId id = lineage_->admit(
@@ -513,59 +738,61 @@ void Engine::merge_and_finalize() {
     if (out.is_ack) {
       out.msg_id = ks.ack_msg_id;
     } else if (lossy_) {
-      // Register for retransmission until acknowledged. The pending copy
-      // stays pristine (lost is drawn per transmission in admit()) and owns
-      // its payload bytes — slab refs don't survive the round.
-      out.msg_id = next_msg_id_++;
-      auto& plist = pending_by_sender_[out.envelope.from.value()];
-      // Lossy runs only; the loss-free warmed steady state (what
-      // NF_STEADY_NOALLOC gates) never enters this branch.
-      // nf-lint: nf-cap-noalloc-ok
-      plist.push_back(
-          Pending{out, round_ + fault_.retransmit_after, /*attempts=*/1});
-      plist.back().flat_bytes.assign(flat_bytes.begin(), flat_bytes.end());
-      ++pending_count_;
+      // Register for retransmission until acknowledged; the slot keeps the
+      // envelope as first admitted (lost is drawn per transmission in
+      // admit()) and its own copy of the payload bytes.
+      out.msg_id = register_unacked(out.envelope, flat_bytes);
     }
     admit(std::move(out), flat_bytes);
   }
   flush();
 }
 
-void Engine::scan_retransmissions() {
-  if (!lossy_ || pending_count_ == 0) return;
-  // Deterministic order: senders in id order, each sender's unacked
-  // messages in send (= msg id) order.
-  for (auto& list : pending_by_sender_) {
-    for (std::size_t i = 0; i < list.size();) {
-      Pending& p = list[i];
-      if (p.next_retry > round_) {
-        ++i;
-        continue;
-      }
-      if (p.attempts > fault_.max_retries) {
-        ++given_up_;
-        --pending_count_;
-        list.erase(list.begin() + i);
-        continue;
-      }
-      ++p.attempts;
-      ++retransmissions_;
-      p.next_retry = round_ + fault_.retransmit_after;
-      meter_.record(p.message.envelope.from, p.message.envelope.category,
-                    p.message.envelope.bytes);
-      // Retransmissions re-cross the link: charge them like the meter does.
-      // This loop is already deterministic (sender id, then msg id order).
-      if (link_stats_ != nullptr) {
-        link_stats_->charge(
-            p.message.envelope.from.value(), p.message.envelope.to.value(),
-            static_cast<std::size_t>(p.message.envelope.category),
-            p.message.envelope.bytes);
-      }
-      // Copy; the pending entry keeps the original. The payload travels as
-      // the pending entry's owned span, never as a reconstructed object.
-      admit(Outgoing{p.message}, std::span<const std::uint8_t>(p.flat_bytes));
-      ++i;
+void Engine::retransmit_due() {
+  if (!lossy_) return;
+  // Only this round's wheel bucket is touched. Its live messages go out in
+  // (sender, msg id) order — the order a walk over every sender's unacked
+  // messages would visit them — so loss draws and ring-slab offsets do not
+  // depend on how the bucket filled.
+  std::vector<std::uint64_t>& bucket =
+      retry_wheel_[static_cast<std::size_t>(round_ % retry_wheel_.size())];
+  const std::uint64_t base = unacked_front_;
+  due_scratch_.clear();
+  for (const std::uint64_t id : bucket) {
+    const Unacked* const slot = find_unacked(id);
+    if (slot == nullptr) continue;  // acked or given up since it was queued
+    ensure(id - base <= 0xFFFF'FFFFull, "unacked window beyond 2^32 ids");
+    // Reserved to the largest bucket's capacity: never grows.
+    due_scratch_.push_back(std::uint64_t{slot->envelope.from.value()} << 32 |
+                           (id - base));
+  }
+  bucket.clear();
+  std::sort(due_scratch_.begin(), due_scratch_.end());
+  std::vector<std::uint64_t>& later = retry_wheel_[static_cast<std::size_t>(
+      (round_ + fault_.retransmit_after) % retry_wheel_.size())];
+  for (const std::uint64_t key : due_scratch_) {
+    const std::uint64_t id = base + (key & 0xFFFF'FFFFull);
+    Unacked& slot = *find_unacked(id);
+    if (slot.attempts > fault_.max_retries) {
+      ++given_up_;
+      finish_unacked(id);
+      continue;
     }
+    ++slot.attempts;
+    ++retransmissions_;
+    later.push_back(id);
+    const Envelope& env = slot.envelope;
+    meter_.record(env.from, env.category, env.bytes);
+    // Retransmissions re-cross the link: charge them like the meter does,
+    // in the same deterministic order.
+    if (link_stats_ != nullptr) {
+      link_stats_->charge(env.from.value(), env.to.value(),
+                          static_cast<std::size_t>(env.category), env.bytes);
+    }
+    // Copy; the slot keeps the original. The payload travels as the slot's
+    // stashed bytes, never as a reconstructed object.
+    admit(Outgoing{env, id, /*is_ack=*/false, /*lost=*/false},
+          unacked_payload(slot));
   }
 }
 
@@ -613,10 +840,7 @@ std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
       sc.wake.push_back(PeerId(p));
     }
   }
-  if (lossy_) {
-    pending_by_sender_.resize(overlay_.num_peers());
-    seen_by_receiver_.resize(overlay_.num_peers());
-  }
+  merge_runs_.reserve(plan.num_shards() + 1);
   if (lineage_ != nullptr) {
     // Window the lineage analysis on this run: record the pre-run clock
     // (deliveries during round r carry clock base + r + 1, so relative
@@ -701,12 +925,19 @@ std::uint64_t Engine::run(Protocol& protocol, std::uint64_t max_rounds,
       round_obs_ns_ += obs::elapsed_ns(fold_t0);
     }
 
-    // 5. Barrier merge: order every send canonically, charge the meter,
-    // admit to the network. Sends made during round r travel from r+1 on.
+    // 5. Barrier merge: merge the sorted send runs into canonical order,
+    // charge the meter, admit to the network. Sends made during round r
+    // travel from r+1 on.
     merge_and_finalize();
 
-    // 6. Reliability layer: resend what was not acknowledged in time.
-    scan_retransmissions();
+    // 6. Reliability layer: resend what was not acknowledged in time, then
+    // record the unacked front for the delivered bits' horizon.
+    retransmit_due();
+    if (lossy_) {
+      front_history_[static_cast<std::size_t>(round_ %
+                                              front_history_.size())] =
+          unacked_front_;
+    }
 
     // 6a-pre. Link scheduler: every backlogged link drains one round of
     // capacity; per-level backlog gauges are published before the series

@@ -17,9 +17,11 @@
 //      bookkeeping; route deliveries to the
 //      destination peer's shard               (engine thread)
 //   3. deliver + tick each shard's peers      (worker pool, K shards)
-//   4. barrier merge: order every send by its
-//      canonical key, then charge the meter
-//      and admit it to the network            (engine thread)
+//   4. barrier merge: merge the ACK run and
+//      the K shard outboxes (each already in
+//      canonical key order), then charge the
+//      meter and admit every send             (engine thread)
+//   5. retransmit what falls due this round   (engine thread)
 //
 // Tick rule: in round r an alive peer gets on_round iff r is the run's
 // first round, or the peer called Context::wake_next_round() in round r-1,
@@ -33,7 +35,10 @@
 // engine guarantees its half by (a) sharding peers into contiguous id
 // ranges, (b) tagging every send with a canonical (major, minor) key —
 // delivery index, or inbox size + peer id for a tick, plus per-callback
-// sequence — and merging shard outboxes in key order at the barrier, (c)
+// sequence — and merging shard outboxes in key order at the barrier (a
+// shard handles its deliveries in inbox order, then its ticks in peer
+// order, so its outbox is one sorted run and the barrier merges runs
+// instead of sorting; a run out of order throws), (c)
 // keeping all shared bookkeeping (meter, reliability, latency, msg ids) on
 // the engine thread, and (d) drawing loss decisions from a stateless
 // counter-keyed hash stream instead of a sequential RNG. Protocols supply
@@ -77,6 +82,12 @@ namespace nf::net {
 /// Loss draws come from a per-transmission hash stream keyed by (seed,
 /// transmission counter), so they are independent of delivery order and
 /// identical across serial and sharded runs.
+///
+/// Bookkeeping costs O(1) per message: reliable msg ids are assigned
+/// sequentially at the barrier, so the unacked messages live in one table
+/// indexed by msg id (an ACK is one lookup), a `retransmit_after + 1`
+/// bucket wheel keyed by due round hands each round exactly the messages
+/// due then, and duplicate suppression keeps one delivered bit per msg id.
 struct LinkFaultModel {
   double loss_probability = 0.0;
   std::uint32_t ack_bytes = 4;
@@ -380,14 +391,25 @@ class Engine {
     bool lost = false;  // loss drawn at admission, applied at delivery
   };
 
-  /// An unacknowledged reliable message, kept per sender for retransmit.
-  struct Pending {
-    Outgoing message;  // pristine copy (lost flag clear)
-    std::uint64_t next_retry;
-    std::uint32_t attempts;
-    /// Owning copy of the flat payload span (slab refs don't outlive their
-    /// round); retransmissions copy it into a fresh ring-slot ref.
-    std::vector<std::uint8_t> flat_bytes;
+  /// An unacknowledged reliable message: what a retransmission needs. The
+  /// envelope is the one first admitted (its flat ref stale but valid, with
+  /// the payload length); the payload bytes themselves sit in a payload
+  /// chunk, because slab refs don't outlive their round.
+  struct Unacked {
+    Envelope envelope;
+    std::uint32_t attempts = 0;  // transmissions so far
+    std::uint32_t chunk = 0;     // payload_chunks_ index (flat payloads)
+    std::uint32_t offset = 0;    // payload offset in that chunk
+  };
+
+  /// Payload bytes of unacked messages, appended in msg id order. A chunk
+  /// counts its live payloads and returns to the free list when the last
+  /// one finishes, so a message that keeps retrying pins one chunk, not
+  /// every payload sent after it.
+  struct PayloadChunk {
+    std::vector<std::uint8_t> bytes;
+    std::uint32_t used = 0;
+    std::uint32_t live = 0;
   };
 
   /// A delivery routed to a shard: `index` is the message's position in
@@ -415,15 +437,39 @@ class Engine {
                                   std::uint64_t tick_base);
   /// Queues `peer` (owned by `shard`) for a tick next round, once.
   NF_REENTRANT void queue_wake(std::uint32_t shard, PeerId peer);
+  /// Merges the ACK run and the shard outboxes into `merge_order_`.
+  NF_ENGINE_THREAD NF_STEADY_NOALLOC void merge_runs();
   NF_ENGINE_THREAD NF_STEADY_NOALLOC void merge_and_finalize();
   /// `flat_bytes` is the payload span to copy into the destination ring
   /// slot (empty unless out.envelope.flat is valid).
   NF_ENGINE_THREAD NF_STEADY_NOALLOC void admit(
       Outgoing&& out, std::span<const std::uint8_t> flat_bytes);
-  NF_ENGINE_THREAD void scan_retransmissions();
+  NF_ENGINE_THREAD void retransmit_due();
   NF_ENGINE_THREAD void drain_link_queues();
   NF_ENGINE_THREAD void ack_received(PeerId original_sender,
                                      std::uint64_t msg_id);
+
+  // Reliability bookkeeping (lossy runs only).
+  /// Assigns the next msg id to a reliable message and registers it for
+  /// retransmission; `flat_bytes` is copied into a payload chunk.
+  NF_ENGINE_THREAD std::uint64_t register_unacked(
+      const Envelope& envelope, std::span<const std::uint8_t> flat_bytes);
+  /// The live slot of `msg_id`, or nullptr once it finished.
+  NF_ENGINE_THREAD [[nodiscard]] Unacked* find_unacked(std::uint64_t msg_id);
+  /// Frees msg_id's slot (acked or given up) and reclaims the front.
+  NF_ENGINE_THREAD void finish_unacked(std::uint64_t msg_id);
+  NF_ENGINE_THREAD [[nodiscard]] std::span<const std::uint8_t> unacked_payload(
+      const Unacked& slot) const;
+  /// Copies a payload into the open chunk (or a fresh one) and records
+  /// where in `slot`.
+  NF_ENGINE_THREAD void stash_payload(std::span<const std::uint8_t> bytes,
+                                      Unacked& slot);
+  /// Drops one live payload from `chunk`; an emptied chunk is recycled.
+  NF_ENGINE_THREAD void release_chunk(std::uint32_t chunk);
+  /// Sets msg_id's delivered bit; returns whether it was already set.
+  NF_ENGINE_THREAD bool mark_delivered(std::uint64_t msg_id);
+  /// Drops the delivered bits of msg ids below `msg_id`.
+  NF_ENGINE_THREAD void forget_delivered_below(std::uint64_t msg_id);
   NF_ENGINE_THREAD [[nodiscard]] bool draw_loss();
   NF_ENGINE_THREAD [[nodiscard]] std::vector<Outgoing>& bucket_at(
       std::uint64_t round);
@@ -447,7 +493,7 @@ class Engine {
   /// Topology telemetry (nullptr when obs is detached): the per-level
   /// matrix and heavy-hitter link summary are charged on the engine thread
   /// in canonical merge order only — merge_and_finalize() and
-  /// scan_retransmissions(); nf-lint flags charges anywhere else.
+  /// retransmit_due(); nf-lint flags charges anywhere else.
   obs::LinkStats* link_stats_ = nullptr;
   /// Obs self-overhead meter: wall time spent inside the engine's obs-only
   /// blocks (round stamping, shard-gauge fold, link charging, series
@@ -474,7 +520,15 @@ class Engine {
   std::unique_ptr<ShardPool> pool_;
   std::vector<ShardScratch> shards_;
   std::vector<Context::KeyedSend> engine_sends_;  // ACKs, this round
-  std::vector<Context::KeyedSend> merge_scratch_;
+  /// This round's sends in canonical order (merge_runs()); they point into
+  /// engine_sends_ and the shard outboxes.
+  std::vector<Context::KeyedSend*> merge_order_;
+  /// Merge cursors: [next, end) of each run not yet exhausted.
+  struct MergeRun {
+    Context::KeyedSend* next;
+    Context::KeyedSend* end;
+  };
+  std::vector<MergeRun> merge_runs_;
   std::uint64_t tick_base_ = 0;  // this round's inbox size, for tick majors
   /// Per peer: already in its shard's wake list. Written only by the
   /// owning shard (and by the engine thread for churn revivals, before the
@@ -526,16 +580,47 @@ class Engine {
   std::uint64_t round_{0};
   std::uint64_t dropped_{0};
 
-  // Reliability layer (active iff fault_.loss_probability > 0). All state
-  // is dense per-peer-index: unacked messages per sender, seen reliable
-  // msg ids (sorted) per receiver.
+  // Reliability layer (active iff fault_.loss_probability > 0). Msg ids are
+  // assigned sequentially at the barrier, so the lookups below are rings
+  // indexed by msg id (power-of-two sizes) whose live window ends at
+  // next_msg_id_ and starts at a front that only moves forward. Nothing
+  // here shrinks, so a warmed engine reuses all of it.
   const LinkFaultModel fault_;
   bool lossy_ = false;
   std::uint64_t next_msg_id_ = 1;
   std::uint64_t next_transmission_ = 0;  // loss-stream counter
-  std::vector<std::vector<Pending>> pending_by_sender_;
-  std::uint64_t pending_count_ = 0;
-  std::vector<std::vector<std::uint64_t>> seen_by_receiver_;
+  /// Unacked table: msg id m in [unacked_front_, next_msg_id_) has slot
+  /// unacked_index_[m & (size - 1)] of unacked_slots_, or kNone once
+  /// acked or given up. The front is the lowest msg id not yet finished;
+  /// it advances as messages finish, so one message that retries to a dead
+  /// peer holds the window open for at most max_retries * retransmit_after
+  /// rounds — and costs the window 4 bytes per msg id, while slots and
+  /// payload bytes are held only by live messages.
+  static constexpr std::uint32_t kNone = 0xFFFF'FFFFu;  // no slot / chunk
+  std::vector<std::uint32_t> unacked_index_;
+  std::uint64_t unacked_front_ = 1;
+  std::vector<Unacked> unacked_slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint64_t pending_count_ = 0;  // live slots
+  std::vector<PayloadChunk> payload_chunks_;
+  std::vector<std::uint32_t> free_chunks_;
+  std::uint32_t open_chunk_ = kNone;  // the chunk payloads append to
+  /// Retransmit wheel: bucket d % size lists the msg ids due in round d
+  /// (size retransmit_after + 1 spans every due round). Finished messages
+  /// are skipped, not erased, when their bucket comes up.
+  std::vector<std::vector<std::uint64_t>> retry_wheel_;
+  /// This round's due messages as (sender << 32 | msg id - front) keys, so
+  /// one sort puts them in (sender, msg id) order.
+  std::vector<std::uint64_t> due_scratch_;
+  /// One delivered bit per msg id (duplicate suppression; a msg id has
+  /// exactly one receiver). Word w of the id space is delivered_[w & (size
+  /// - 1)] for w >= delivered_base_. Bits are kept while a copy of the
+  /// message can still be in transit: round r drops the ids below
+  /// unacked_front_ as it stood front_history_.size() rounds earlier —
+  /// more than the farthest delivery offset.
+  std::vector<std::uint64_t> delivered_;
+  std::uint64_t delivered_base_ = 0;  // first kept word
+  std::vector<std::uint64_t> front_history_;
   std::uint64_t lost_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t duplicates_ = 0;

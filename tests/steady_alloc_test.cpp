@@ -84,6 +84,32 @@ TEST(SteadyAllocTest, WarmedFlatRunAllocatesNothing) {
       << "flat hot path allocated on a warmed engine";
 }
 
+TEST(SteadyAllocTest, WarmedLossyFlatRunAllocatesNothing) {
+  // The reliability layer's bookkeeping — the unacked table, its payload
+  // bytes, the retransmit wheel and the delivered bits — is recycled too:
+  // once warm, ACKs, retransmissions and duplicate suppression reuse it.
+  ASSERT_TRUE(alloc_hook::armed());
+  Rng rng(13);
+  Overlay overlay(net::random_tree(kPeers, 3, rng));
+  TrafficMeter meter(overlay.num_peers());
+  const Hierarchy hierarchy = build_bfs_hierarchy(overlay, PeerId(0));
+  net::LinkFaultModel fault;
+  fault.loss_probability = 0.05;
+  Engine engine(overlay, meter, {.fault = fault});
+
+  FlatAggregateConvergecastPhase warm = make_cast(hierarchy);
+  run_phase(engine, warm, kStandaloneConvergecast, 200);
+  ASSERT_TRUE(warm.complete());
+
+  engine.begin_steady_state();
+  FlatAggregateConvergecastPhase steady = make_cast(hierarchy);
+  run_phase(engine, steady, kStandaloneConvergecast, 200);
+  ASSERT_TRUE(steady.complete());
+  EXPECT_GT(engine.retransmissions(), 0u);
+  EXPECT_EQ(engine.steady_allocs(), 0u)
+      << "lossy flat path allocated on a warmed engine";
+}
+
 TEST(SteadyAllocTest, WarmedLinkStatsChargePathAllocatesNothing) {
   // The telemetry plane's own contract: after the warm-up calls
   // (set_link_capacity / configure_levels / bind_series), charge() touches

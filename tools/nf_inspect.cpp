@@ -51,6 +51,16 @@
 // relative increase beyond --tol exits 1:
 //
 //   nf-inspect congestion [--util=0.75] fig_congestion.json [BASELINE.json]
+//
+// Perf: compares two rows of the performance trajectory (BENCH_perf.json,
+// written by scripts/perf_row.py) against the repository benchmark's
+// bounds. For each workload and end-to-end metric of BENCHMARK.json, row
+// B's median is compared with row A's (each row's `change` side: the code
+// as of that row's commit), in the metric's better direction; a change for
+// the worse beyond the metric's relative bound exits 1. Rows default to
+// the last two; the bounds come from BENCHMARK.json beside the file:
+//
+//   nf-inspect perf [--rows=A,B] BENCH_perf.json
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -797,6 +807,98 @@ int congestion_diff_cmd(const Json& a, const Json& b,
   return 0;
 }
 
+/// Row `index` of a trajectory file, or nullptr (with a message) when the
+/// file has no such row.
+const Json* trajectory_row(const Json& perf, std::size_t index) {
+  const Json* rows = perf.find("rows");
+  if (rows == nullptr || !rows->is_array() || index >= rows->size()) {
+    std::cerr << "nf-inspect perf: no row " << index << " (the file has "
+              << (rows != nullptr && rows->is_array() ? rows->size() : 0)
+              << ")\n";
+    return nullptr;
+  }
+  return &rows->as_array()[index];
+}
+
+/// Median of `metric` on `workload`'s change side of `row`, if recorded.
+const Json* change_median(const Json& row, const std::string& workload,
+                          const std::string& metric) {
+  const Json* w = row.find("workloads");
+  if (w != nullptr) w = w->find(workload);
+  if (w != nullptr) w = w->find("change");
+  if (w != nullptr) w = w->find("metrics");
+  if (w != nullptr) w = w->find(metric);
+  if (w != nullptr) w = w->find("median");
+  return w != nullptr && w->is_number() ? w : nullptr;
+}
+
+int perf_cmd(const Json& perf, const Json& spec, const std::string& path,
+             std::size_t row_a, std::size_t row_b) {
+  const Json* a = trajectory_row(perf, row_a);
+  const Json* b = trajectory_row(perf, row_b);
+  const Json* workloads = spec.find("workloads");
+  const Json* metrics = spec.find("end_to_end");
+  if (a == nullptr || b == nullptr) return 2;
+  if (workloads == nullptr || !workloads->is_array() || metrics == nullptr ||
+      !metrics->is_array()) {
+    std::cerr << "nf-inspect perf: the benchmark spec lacks workloads or "
+                 "end_to_end\n";
+    return 2;
+  }
+  std::cout << "# " << path << ": row " << row_a << " -> row " << row_b
+            << "\n";
+  for (const std::size_t i : {row_a, row_b}) {
+    const Json* row = trajectory_row(perf, i);
+    const Json* change = row->find("change");
+    std::cout << "row " << i << ": "
+              << (change != nullptr && change->is_string() ? change->as_string()
+                                                           : "?")
+              << "\n";
+  }
+  int regressions = 0;
+  int missing = 0;
+  for (const Json& w : workloads->as_array()) {
+    const std::string& workload = w.at("name").as_string();
+    std::cout << "\n== " << workload << "\n";
+    TableWriter t({"metric", "better", "bound%", "A", "B", "delta%", "status"},
+                  std::cout, 18);
+    for (const Json& m : metrics->as_array()) {
+      const std::string& metric = m.at("name").as_string();
+      const bool lower = m.at("better").as_string() == "lower";
+      const double bound = m.at("bound").as_double();
+      const Json* va = change_median(*a, workload, metric);
+      const Json* vb = change_median(*b, workload, metric);
+      if (va == nullptr || vb == nullptr) {
+        ++missing;
+        t.row(metric, lower ? "lower" : "higher", bound * 100.0, "-", "-", "-",
+              "missing");
+        continue;
+      }
+      const double x = va->as_double();
+      const double y = vb->as_double();
+      const double delta =
+          x != 0.0 ? (y - x) / std::abs(x) : (y == 0.0 ? 0.0 : 1.0);
+      // Relative change for the worse, in the metric's better direction.
+      const double worse = lower ? delta : -delta;
+      const bool breach = worse > bound;
+      if (breach) ++regressions;
+      t.row(metric, lower ? "lower" : "higher", bound * 100.0, x, y,
+            delta * 100.0, breach ? "REGRESSED" : "ok");
+    }
+  }
+  if (missing != 0) {
+    std::cout << "\nnote: " << missing
+              << " metric(s) missing from a row were not compared\n";
+  }
+  if (regressions != 0) {
+    std::cout << "\nFAIL: " << regressions
+              << " end-to-end metric(s) regressed beyond their bound\n";
+    return 1;
+  }
+  std::cout << "\nOK: no end-to-end metric regressed beyond its bound\n";
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -806,6 +908,7 @@ int main(int argc, char** argv) {
   bool expect_root_adjacent = false;
   double budget = 0.35;
   double util_threshold = 0.75;
+  std::string rows_arg;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -820,6 +923,8 @@ int main(int argc, char** argv) {
       budget = std::stod(std::string(arg.substr(9)));
     } else if (arg.rfind("--util=", 0) == 0) {
       util_threshold = std::stod(std::string(arg.substr(7)));
+    } else if (arg.rfind("--rows=", 0) == 0) {
+      rows_arg = std::string(arg.substr(7));
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: nf-inspect [--tol=0.10] REPORT.json "
                    "[BASELINE.json]\n"
@@ -830,6 +935,7 @@ int main(int argc, char** argv) {
                    "       nf-inspect overhead [--budget=0.35] REPORT.json\n"
                    "       nf-inspect congestion [--util=0.75] REPORT.json "
                    "[BASELINE.json]\n"
+                   "       nf-inspect perf [--rows=A,B] BENCH_perf.json\n"
                    "  one file: summarize + gate cost-model conformance\n"
                    "  two files: regression-diff A against baseline B\n"
                    "  critical-path: per-session gating chain + per-phase "
@@ -842,7 +948,10 @@ int main(int argc, char** argv) {
                    "  congestion: saturated levels/links, backlog depth + "
                    "gated rounds; with a\n"
                    "    baseline, gate the deterministic queueing scalars "
-                   "(schema v7)\n";
+                   "(schema v7)\n"
+                   "  perf: end-to-end medians of trajectory row B vs row A "
+                   "(default: the last\n"
+                   "    two) against the benchmark's bounds\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "nf-inspect: unknown flag " << arg << "\n";
@@ -895,10 +1004,41 @@ int main(int argc, char** argv) {
     }
     return overhead_cmd(load(paths[1]), paths[1], budget);
   }
+  if (!paths.empty() && paths[0] == "perf") {
+    if (paths.size() != 2) {
+      std::cerr << "usage: nf-inspect perf [--rows=A,B] BENCH_perf.json\n";
+      return 2;
+    }
+    const Json perf = load(paths[1]);
+    const Json* rows = perf.find("rows");
+    const std::size_t n =
+        rows != nullptr && rows->is_array() ? rows->size() : 0;
+    std::size_t row_a = n >= 2 ? n - 2 : 0;
+    std::size_t row_b = n >= 1 ? n - 1 : 0;
+    if (!rows_arg.empty()) {
+      const std::size_t comma = rows_arg.find(',');
+      if (comma == std::string::npos) {
+        std::cerr << "nf-inspect perf: --rows takes A,B\n";
+        return 2;
+      }
+      row_a = std::stoull(rows_arg.substr(0, comma));
+      row_b = std::stoull(rows_arg.substr(comma + 1));
+    } else if (n < 2) {
+      std::cerr << "nf-inspect perf: " << paths[1]
+                << " needs two rows to compare\n";
+      return 2;
+    }
+    const std::size_t slash = paths[1].find_last_of('/');
+    const std::string spec_path =
+        (slash == std::string::npos ? std::string()
+                                    : paths[1].substr(0, slash + 1)) +
+        "BENCHMARK.json";
+    return perf_cmd(perf, load(spec_path), paths[1], row_a, row_b);
+  }
   if (paths.empty() || paths.size() > 2) {
     std::cerr << "usage: nf-inspect [--tol=0.10] REPORT.json "
                  "[BASELINE.json] | nf-inspect "
-                 "critical-path|hotspots|levels|overhead|congestion "
+                 "critical-path|hotspots|levels|overhead|congestion|perf "
                  "REPORT.json\n";
     return 2;
   }
