@@ -47,14 +47,21 @@ void BM_FilterBankGroups(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterBankGroups)->Arg(1)->Arg(3)->Arg(10);
 
+// The pair merge behind every typed aggregation, naive's convergecast
+// above all: range(0) pairs merged with range(1) pairs. With range(2) = 1
+// both sides draw ids from 2·range(0) values, so many ids repeat and are
+// summed in place; with 0 they are spread over the 64-bit space.
 void BM_ValueMapMergeAdd(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  Rng rng(3);
+  const auto na = static_cast<std::uint64_t>(state.range(0));
+  const auto nb = static_cast<std::uint64_t>(state.range(1));
+  const std::uint64_t universe = state.range(2) != 0 ? 2 * na : 0;
+  const auto id = [universe](std::uint64_t i, std::uint64_t seed) {
+    const std::uint64_t h = hash64(i, seed);
+    return ItemId(universe != 0 ? h % universe : h);
+  };
   std::vector<std::pair<ItemId, Value>> pa, pb;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    pa.emplace_back(ItemId(hash64(i, 1)), 1);
-    pb.emplace_back(ItemId(hash64(i, 2)), 1);
-  }
+  for (std::uint64_t i = 0; i < na; ++i) pa.emplace_back(id(i, 1), 1);
+  for (std::uint64_t i = 0; i < nb; ++i) pb.emplace_back(id(i, 2), 1);
   const auto a = ValueMap<ItemId, Value>::from_unsorted(pa);
   const auto b = ValueMap<ItemId, Value>::from_unsorted(pb);
   for (auto _ : state) {
@@ -63,9 +70,15 @@ void BM_ValueMapMergeAdd(benchmark::State& state) {
     benchmark::DoNotOptimize(merged);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * n));
+                          static_cast<std::int64_t>(a.size() + b.size()));
 }
-BENCHMARK(BM_ValueMapMergeAdd)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_ValueMapMergeAdd)
+    ->ArgNames({"a", "b", "dups"})
+    ->Args({1000, 1000, 0})
+    ->Args({10000, 10000, 0})
+    ->Args({100000, 100000, 0})
+    ->Args({10000, 100, 0})
+    ->Args({10000, 10000, 1});
 
 void BM_HllInsert(benchmark::State& state) {
   agg::HyperLogLog hll(12);

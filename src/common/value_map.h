@@ -2,15 +2,22 @@
 //
 // The inner loop of every aggregation path in netFilter is "merge my
 // <id, value> pairs with my children's and add values for equal ids". A
-// sorted vector with a two-pointer merge is both faster and far more
+// sorted vector with a linear merge is both faster and far more
 // memory-frugal than a node-based map at the sizes the simulator reaches
 // (10^7 instances across 10^3 peers), and it gives deterministic iteration
-// order for free — which keeps runs bit-reproducible.
+// order for free — which keeps runs bit-reproducible. The merge itself
+// (`merge_add`) is branch-free and runs from both ends of its output at
+// once; see its comment.
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,11 +25,46 @@
 
 namespace nf {
 
+namespace detail {
+
+/// std::allocator whose argument-less construct() leaves the element as
+/// allocated instead of value-initializing it, so `resize(n)` costs no
+/// zero fill. Only for element types whose lifetime the allocation itself
+/// starts (trivially copy-constructible and destructible); every slot must
+/// be assigned before it is read.
+template <typename T>
+struct UninitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = UninitAllocator<U>;
+  };
+  UninitAllocator() = default;
+  template <typename U>
+  UninitAllocator(const UninitAllocator<U>&) noexcept {}
+
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0) {
+      static_assert(std::is_trivially_copy_constructible_v<U> &&
+                    std::is_trivially_destructible_v<U>);
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+};
+
+}  // namespace detail
+
 template <typename Id, typename Value = std::uint64_t>
 class ValueMap {
  public:
   using value_type = std::pair<Id, Value>;
-  using const_iterator = typename std::vector<value_type>::const_iterator;
+
+ private:
+  using Storage = std::vector<value_type, detail::UninitAllocator<value_type>>;
+
+ public:
+  using const_iterator = typename Storage::const_iterator;
 
   ValueMap() = default;
 
@@ -76,25 +118,78 @@ class ValueMap {
   }
 
   /// Merges `other` into this map, summing values of equal ids.
-  /// Linear two-pointer merge: O(|this| + |other|).
+  /// O(|this| + |other|), and branch-free where it matters: two merge
+  /// chains run in one loop, the front one writing ascending ids from the
+  /// start of the output, the back one descending ids from its end. Each
+  /// chain picks its next pair and sums equal ids with 0/1 predicates, so
+  /// no step depends on a data-dependent branch, and the two independent
+  /// chains halve the load→compare→advance dependency per output pair.
+  /// The loop runs in batches of min(remaining in either input) / 2 steps:
+  /// a step takes at most one pair from each end of each input, so both
+  /// chains always read distinct pairs and no bound is checked per step.
+  /// When fewer than two pairs remain on one side, a scalar pass merges
+  /// what is left onto the front output and the back output is moved down
+  /// behind it. Values of ids present in only one input are copied, never
+  /// added to zero, so double-valued maps keep their exact bits.
   void merge_add(const ValueMap& other) {
-    std::vector<value_type> merged;
-    merged.reserve(entries_.size() + other.entries_.size());
-    auto a = entries_.cbegin();
-    auto b = other.entries_.cbegin();
-    while (a != entries_.cend() && b != other.entries_.cend()) {
+    const std::size_t n = entries_.size();
+    const std::size_t m = other.entries_.size();
+    if (m == 0) return;
+    if (n == 0) {
+      entries_ = other.entries_;
+      return;
+    }
+    Storage merged;
+    merged.resize(n + m);  // uninitialized: every kept slot is written
+    value_type* const out = merged.data();
+    value_type* front = out;
+    value_type* back = out + n + m;  // one past the next back write
+    const value_type* a = entries_.data();
+    const value_type* a_end = a + n;  // one past A's last unmerged pair
+    const value_type* b = other.entries_.data();
+    const value_type* b_end = b + m;
+    for (;;) {
+      const std::size_t steps =
+          static_cast<std::size_t>(std::min(a_end - a, b_end - b)) / 2;
+      if (steps == 0) break;
+      for (std::size_t i = 0; i < steps; ++i) {
+        // Front chain: the smaller head, or both heads on equal ids.
+        const Key fka = a->first.value();
+        const Key fkb = b->first.value();
+        const bool fa = fka <= fkb;
+        const bool fb = fkb <= fka;
+        *front++ = value_type(Id(select(fa, fka, fkb)),
+                              combine(a->second, b->second, fa, fb));
+        // Back chain: the larger tail, or both tails on equal ids.
+        const Key bka = a_end[-1].first.value();
+        const Key bkb = b_end[-1].first.value();
+        const bool ba = bka >= bkb;
+        const bool bb = bkb >= bka;
+        *--back = value_type(
+            Id(select(ba, bka, bkb)),
+            combine(a_end[-1].second, b_end[-1].second, ba, bb));
+        a += fa;
+        b += fb;
+        a_end -= ba;
+        b_end -= bb;
+      }
+    }
+    while (a != a_end && b != b_end) {
       if (a->first < b->first) {
-        merged.push_back(*a++);
+        *front++ = *a++;
       } else if (b->first < a->first) {
-        merged.push_back(*b++);
+        *front++ = *b++;
       } else {
-        merged.emplace_back(a->first, a->second + b->second);
+        *front++ = value_type(a->first, a->second + b->second);
         ++a;
         ++b;
       }
     }
-    merged.insert(merged.end(), a, entries_.cend());
-    merged.insert(merged.end(), b, other.entries_.cend());
+    front = std::copy(a, a_end, front);
+    front = std::copy(b, b_end, front);
+    const auto back_size = static_cast<std::size_t>(out + n + m - back);
+    if (front != back) std::copy(back, out + n + m, front);
+    merged.resize(static_cast<std::size_t>(front - out) + back_size);
     entries_ = std::move(merged);
   }
 
@@ -145,7 +240,35 @@ class ValueMap {
         [](const value_type& e, Id key) { return e.first < key; });
   }
 
-  std::vector<value_type> entries_;
+  /// The raw key ids compare and select as: ids wrap an unsigned integer.
+  using Key = decltype(std::declval<const Id&>().value());
+  static_assert(std::is_unsigned_v<Key>, "ValueMap ids wrap unsigned keys");
+
+  /// `c ? x : y` by masking the bits, so it compiles to no branch.
+  template <typename T>
+  [[nodiscard]] static T select(bool c, T x, T y) {
+    if constexpr (std::is_integral_v<T>) {
+      return y ^ ((x ^ y) & (T{0} - static_cast<T>(c)));
+    } else {
+      static_assert(sizeof(T) == sizeof(std::uint64_t));
+      return std::bit_cast<T>(select(c, std::bit_cast<std::uint64_t>(x),
+                                     std::bit_cast<std::uint64_t>(y)));
+    }
+  }
+
+  /// The value of one merge step's output: `va + vb` when both inputs
+  /// hold its id, else whichever one does. Integers mask and add; other
+  /// types select, so a lone value is copied, not added to zero.
+  [[nodiscard]] static Value combine(Value va, Value vb, bool ta, bool tb) {
+    if constexpr (std::is_integral_v<Value>) {
+      return (va & (Value{0} - static_cast<Value>(ta))) +
+             (vb & (Value{0} - static_cast<Value>(tb)));
+    } else {
+      return select(ta && tb, va + vb, select(ta, va, vb));
+    }
+  }
+
+  Storage entries_;
 };
 
 }  // namespace nf

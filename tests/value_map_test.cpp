@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -156,6 +161,154 @@ TEST(ValueMapTest, MergeAddIsCommutativeOnRandomInputs) {
     b2.merge_add(a2);
     EXPECT_EQ(a1, b2);
   }
+}
+
+// merge_add runs a front and a back merge chain that meet somewhere in the
+// output. The checks below compare it with a std::map reference: every id of
+// either input once, in ascending order, with `a + b` for ids in both and the
+// lone value copied bit for bit otherwise.
+template <typename V>
+std::vector<std::pair<std::uint64_t, V>> reference_merge(
+    const ValueMap<ItemId, V>& a, const ValueMap<ItemId, V>& b) {
+  std::map<std::uint64_t, V> ref;
+  for (const auto& [id, v] : a) ref.emplace(id.value(), v);
+  for (const auto& [id, v] : b) {
+    const auto [it, inserted] = ref.emplace(id.value(), v);
+    if (!inserted) it->second = it->second + v;
+  }
+  return {ref.begin(), ref.end()};
+}
+
+template <typename V>
+std::uint64_t bits_of(V v) {
+  if constexpr (std::is_integral_v<V>) {
+    return v;
+  } else {
+    return std::bit_cast<std::uint64_t>(v);
+  }
+}
+
+/// Merges `b` into a copy of `a` and returns whether the result matches the
+/// reference exactly (ids, order and value bits).
+template <typename V>
+::testing::AssertionResult MergeMatchesReference(const ValueMap<ItemId, V>& a,
+                                                 const ValueMap<ItemId, V>& b) {
+  ValueMap<ItemId, V> merged = a;
+  merged.merge_add(b);
+  const auto ref = reference_merge(a, b);
+  if (merged.size() != ref.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << merged.size() << ", expected " << ref.size()
+           << " (|a| = " << a.size() << ", |b| = " << b.size() << ")";
+  }
+  std::size_t i = 0;
+  for (const auto& [id, v] : merged) {
+    if (id.value() != ref[i].first || bits_of(v) != bits_of(ref[i].second)) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << " is (" << id.value() << ", " << v
+             << "), expected (" << ref[i].first << ", " << ref[i].second
+             << ") (|a| = " << a.size() << ", |b| = " << b.size() << ")";
+    }
+    ++i;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The map holding the ids of `mask`'s set bits, with values from `value`.
+template <typename V, typename F>
+ValueMap<ItemId, V> map_of_mask(unsigned mask, F value) {
+  ValueMap<ItemId, V> m;
+  for (std::uint64_t id = 0; id < 8; ++id) {
+    if ((mask >> id) & 1u) m.add(ItemId(id), value(id));
+  }
+  return m;
+}
+
+// Every pair of id sets of at most 6 ids from a universe of 8: all
+// interleavings, duplicates and meeting points of the two chains.
+TEST(ValueMapMergeTest, ExhaustiveSmallInputsMatchReference) {
+  std::vector<unsigned> masks;
+  for (unsigned mask = 0; mask < 256; ++mask) {
+    if (std::popcount(mask) <= 6) masks.push_back(mask);
+  }
+  for (const unsigned ma : masks) {
+    const auto a = map_of_mask<std::uint64_t>(
+        ma, [](std::uint64_t id) { return id + 1; });
+    for (const unsigned mb : masks) {
+      const auto b = map_of_mask<std::uint64_t>(
+          mb, [](std::uint64_t id) { return 100 * (id + 1); });
+      ASSERT_TRUE(MergeMatchesReference(a, b))
+          << "a mask " << ma << ", b mask " << mb;
+    }
+  }
+}
+
+// The double-valued maps of gossip netFilter: sums are `a + b` exactly as
+// before, and a lone value is copied, so -0.0 keeps its sign.
+TEST(ValueMapMergeTest, ExhaustiveSmallDoubleInputsKeepExactBits) {
+  using DMap = ValueMap<ItemId, double>;
+  std::vector<unsigned> masks;
+  for (unsigned mask = 0; mask < 256; ++mask) {
+    if (std::popcount(mask) <= 6) masks.push_back(mask);
+  }
+  for (const unsigned ma : masks) {
+    const auto a = map_of_mask<double>(ma, [](std::uint64_t id) {
+      return id % 3 == 0 ? -0.0 : 0.1 * static_cast<double>(id + 1);
+    });
+    for (const unsigned mb : masks) {
+      const auto b = map_of_mask<double>(mb, [](std::uint64_t id) {
+        return id % 2 == 0 ? -0.0 : 1.0 / static_cast<double>(id + 3);
+      });
+      ASSERT_TRUE(MergeMatchesReference<double>(a, b))
+          << "a mask " << ma << ", b mask " << mb;
+    }
+  }
+  DMap lone = DMap::from_unsorted({{ItemId(4), -0.0}});
+  lone.merge_add(DMap::from_unsorted({{ItemId(1), 0.5}, {ItemId(9), 0.25}}));
+  EXPECT_TRUE(std::signbit(lone.value_of(ItemId(4))));
+}
+
+// Large random inputs at size ratios from 1:1 to 1:1000, ids over the whole
+// 64-bit space (0 and UINT64_MAX included) with a share of shared ids.
+TEST(ValueMapMergeTest, RandomLargeInputsAtSkewedRatiosMatchReference) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  Rng rng(2024);
+  for (const std::size_t ratio : {1u, 2u, 3u, 8u, 50u, 1000u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::size_t big = 20000;
+      const std::size_t small = big / ratio;
+      std::vector<std::pair<ItemId, std::uint64_t>> pa;
+      std::vector<std::pair<ItemId, std::uint64_t>> pb;
+      std::vector<std::uint64_t> shared;
+      for (std::size_t i = 0; i < big; ++i) {
+        const std::uint64_t id = rng();
+        pa.emplace_back(ItemId(id), rng.between(1, 1000));
+        if (rng.chance(0.3)) shared.push_back(id);
+      }
+      for (std::size_t i = 0; i < small; ++i) {
+        const std::uint64_t id = !shared.empty() && rng.chance(0.5)
+                                     ? shared[rng.below(shared.size())]
+                                     : rng();
+        pb.emplace_back(ItemId(id), rng.between(1, 1000));
+      }
+      // The extreme ids: in both inputs, in one, or in neither.
+      if (trial & 1) pa.emplace_back(ItemId(0), 7);
+      if (trial & 2) pa.emplace_back(ItemId(kMax), 9);
+      if (trial != 1) pb.emplace_back(ItemId(0), 11);
+      if (trial != 2) pb.emplace_back(ItemId(kMax), 13);
+      const Map a = Map::from_unsorted(pa);
+      const Map b = Map::from_unsorted(pb);
+      ASSERT_TRUE(MergeMatchesReference(a, b)) << "ratio 1:" << ratio;
+      ASSERT_TRUE(MergeMatchesReference(b, a)) << "ratio " << ratio << ":1";
+    }
+  }
+}
+
+TEST(ValueMapMergeTest, SelfMergeDoublesEveryValue) {
+  Map m = Map::from_unsorted({{ItemId(0), 1}, {ItemId(5), 2}, {ItemId(9), 3}});
+  m.merge_add(m);
+  EXPECT_EQ(m, Map::from_unsorted(
+                   {{ItemId(0), 2}, {ItemId(5), 4}, {ItemId(9), 6}}));
 }
 
 }  // namespace

@@ -55,10 +55,14 @@
 // Perf: compares two rows of the performance trajectory (BENCH_perf.json,
 // written by scripts/perf_row.py) against the repository benchmark's
 // bounds. For each workload and end-to-end metric of BENCHMARK.json, row
-// B's median is compared with row A's (each row's `change` side: the code
-// as of that row's commit), in the metric's better direction; a change for
-// the worse beyond the metric's relative bound exits 1. Rows default to
-// the last two; the bounds come from BENCHMARK.json beside the file:
+// B's `change` median (the code as of B's commit) is compared with a base
+// in the metric's better direction; a change for the worse beyond the
+// metric's relative bound exits 1. When B directly follows A, the base is
+// B's own `parent` side: B's parent commit, measured in the same session
+// as B, so host drift between sessions cancels. Otherwise the
+// base is A's `change` side, and the report warns that the two rows were
+// measured in different sessions. Rows default to the last two; the
+// bounds come from BENCHMARK.json beside the file:
 //
 //   nf-inspect perf [--rows=A,B] BENCH_perf.json
 #include <cmath>
@@ -820,12 +824,14 @@ const Json* trajectory_row(const Json& perf, std::size_t index) {
   return &rows->as_array()[index];
 }
 
-/// Median of `metric` on `workload`'s change side of `row`, if recorded.
-const Json* change_median(const Json& row, const std::string& workload,
-                          const std::string& metric) {
+/// Median of `metric` on `workload`'s `side` ("parent" or "change") of
+/// `row`, if recorded.
+const Json* side_median(const Json& row, const std::string& side,
+                        const std::string& workload,
+                        const std::string& metric) {
   const Json* w = row.find("workloads");
   if (w != nullptr) w = w->find(workload);
-  if (w != nullptr) w = w->find("change");
+  if (w != nullptr) w = w->find(side);
   if (w != nullptr) w = w->find("metrics");
   if (w != nullptr) w = w->find(metric);
   if (w != nullptr) w = w->find("median");
@@ -855,19 +861,38 @@ int perf_cmd(const Json& perf, const Json& spec, const std::string& path,
                                                            : "?")
               << "\n";
   }
+  // Consecutive rows compare within row B's own session; others across
+  // sessions, where the same code has read >20 % apart.
+  const bool same_session = row_b == row_a + 1;
+  const Json& base_row = same_session ? *b : *a;
+  const std::string base_side = same_session ? "parent" : "change";
+  if (same_session) {
+    std::cout << "base: row " << row_b
+              << "'s parent side (its parent commit, measured in the same "
+                 "session)\n";
+  } else {
+    std::cout << "base: row " << row_a << "'s change side\n";
+  }
+  if (!same_session && row_a != row_b) {
+    std::cout << "caveat: rows " << row_a << " and " << row_b
+              << " are not consecutive, so they were measured in different "
+                 "sessions; host drift between sessions can exceed the "
+                 "bounds\n";
+  }
   int regressions = 0;
   int missing = 0;
   for (const Json& w : workloads->as_array()) {
     const std::string& workload = w.at("name").as_string();
     std::cout << "\n== " << workload << "\n";
-    TableWriter t({"metric", "better", "bound%", "A", "B", "delta%", "status"},
-                  std::cout, 18);
+    TableWriter t(
+        {"metric", "better", "bound%", "base", "B", "delta%", "status"},
+        std::cout, 18);
     for (const Json& m : metrics->as_array()) {
       const std::string& metric = m.at("name").as_string();
       const bool lower = m.at("better").as_string() == "lower";
       const double bound = m.at("bound").as_double();
-      const Json* va = change_median(*a, workload, metric);
-      const Json* vb = change_median(*b, workload, metric);
+      const Json* va = side_median(base_row, base_side, workload, metric);
+      const Json* vb = side_median(*b, "change", workload, metric);
       if (va == nullptr || vb == nullptr) {
         ++missing;
         t.row(metric, lower ? "lower" : "higher", bound * 100.0, "-", "-", "-",
@@ -951,7 +976,9 @@ int main(int argc, char** argv) {
                    "(schema v7)\n"
                    "  perf: end-to-end medians of trajectory row B vs row A "
                    "(default: the last\n"
-                   "    two) against the benchmark's bounds\n";
+                   "    two) against the benchmark's bounds; for B = A+1 the "
+                   "base is B's own\n"
+                   "    parent side\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "nf-inspect: unknown flag " << arg << "\n";
