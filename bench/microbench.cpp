@@ -6,6 +6,8 @@
 #include <map>
 #include <unordered_map>
 
+#include "agg/flat_phases.h"
+#include "agg/hierarchy.h"
 #include "agg/hll.h"
 #include "common/arena.h"
 #include "common/hashing.h"
@@ -13,6 +15,9 @@
 #include "common/value_map.h"
 #include "common/zipf.h"
 #include "core/netfilter.h"
+#include "net/engine.h"
+#include "net/session.h"
+#include "net/topology.h"
 #include "obs/context.h"
 #include "workload/workload.h"
 
@@ -119,8 +124,8 @@ void BM_VarintEncodeAggregates(benchmark::State& state) {
 }
 BENCHMARK(BM_VarintEncodeAggregates)->Arg(300)->Arg(3000);
 
-// The convergecast merge kernel: child's encoded aggregate vector folded
-// into the parent's SoA row. Second arg caps the values — < 128 keeps every
+// The convergecast merge kernel: a held child's encoded aggregate vector
+// folded into the parent's scratch row. Second arg caps the values — < 128 keeps every
 // varint at one byte (the SWAR fast path in add_aggregates_from), large
 // values force the scalar get_varint loop, so the pair bounds the win.
 void BM_VarintAddAggregates(benchmark::State& state) {
@@ -161,6 +166,36 @@ void BM_ColumnAdd(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_ColumnAdd)->Arg(300)->Arg(3000);
+
+// One engine run of netFilter's filtering convergecast at its perfbench
+// shape: 4 000 peers on a fanout-3 random tree, f×g = 500 lanes. Each
+// iteration runs a fresh phase on a warmed engine, as every query does:
+// byte-store reservation, held payloads, one merge per member, the encode.
+void BM_FlatAggregateConvergecast(benchmark::State& state) {
+  constexpr std::uint32_t kPeers = 4000;
+  constexpr std::uint32_t kWidth = 500;
+  Rng rng(17);
+  net::Overlay overlay(net::random_tree(kPeers, 3, rng));
+  net::TrafficMeter meter(overlay.num_peers());
+  const agg::Hierarchy hierarchy =
+      agg::build_bfs_hierarchy(overlay, PeerId(0));
+  net::Engine engine(overlay, meter, {});
+  for (auto _ : state) {
+    agg::FlatAggregateConvergecastPhase cast(
+        hierarchy, net::TrafficCategory::kFiltering, kWidth,
+        [](PeerId p, std::span<std::uint64_t> out) {
+          for (std::uint32_t j = 0; j < kWidth; ++j) {
+            out[j] = (p.value() + j) % 7;
+          }
+        },
+        /*flat_bytes=*/0);
+    net::run_phase(engine, cast, net::kStandaloneConvergecast, 100);
+    benchmark::DoNotOptimize(cast.result().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kPeers);
+}
+BENCHMARK(BM_FlatAggregateConvergecast)->Unit(benchmark::kMillisecond);
 
 void BM_DeltaEncodePairs(benchmark::State& state) {
   std::vector<std::pair<ItemId, Value>> pairs;

@@ -17,14 +17,20 @@
 // per-peer trigger that lets the next phase start there without a global
 // barrier.
 //
-// State layout (DESIGN.md §6f): FlatAggregateConvergecastPhase keeps f×g
-// group sums only where children merge — the root and members with
-// downstream peers — in one contiguous PeerRowArena<u64>, so a merge is a
-// contiguous column add into the parent's row. A leaf sums into its
-// shard's scratch row and encodes straight from it, so the arena holds
-// O(internal members) rows, not O(N). The per-peer bookkeeping (row index,
-// pending counts, sent flags, causal parents) lives in dense parallel
-// arenas instead of a per-peer struct with owning members.
+// State layout (DESIGN.md §6f): FlatAggregateConvergecastPhase keeps no
+// per-member f×g row. A child's encoded payload is copied, undecoded, into
+// the executing shard's byte store, and its ref goes into the parent's
+// child slot. When the last child reports, the parent merges once, in its
+// shard's scratch row: its own contribution, then every held payload
+// decoded straight into `+=`, then the upward encode from that row. Only
+// the root's sums outlive the callback, in a width-wide result. Each
+// shard's store is reserved at run start from the hierarchy (one byte per
+// lane plus half again) and keeps its capacity across runs; it is
+// append-only within a run, and refs are offsets, so a payload that
+// overruns the reservation grows it without invalidating a held ref. The
+// per-peer bookkeeping (pending counts, sent flags, causal parents, child
+// slots) lives in dense parallel arenas instead of a per-peer struct with
+// owning members.
 //
 // Wire-size charging: pass `flat_bytes != 0` to charge the paper's flat
 // field model (WireModel::kFlatFields) while still shipping the encoded
@@ -36,6 +42,7 @@
 // net::kStandaloneBroadcast for the multicast.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -51,15 +58,17 @@
 #include "common/item_source.h"
 #include "net/codec.h"
 #include "net/session.h"
+#include "net/shard.h"
 #include "obs/context.h"
 
 namespace nf::agg {
 
 /// Bottom-up sum of fixed-width aggregate vectors (paper §III-A.2, the f×g
 /// group sums of netFilter phase 1), flat on the wire and SoA in memory.
-/// Shard-safe: callbacks for peer p touch only p's row/slots and the
-/// executing shard's scratch row; `complete_` has a single writer (the
-/// root's shard) and is read at the barrier.
+/// Shard-safe: callbacks for peer p touch only p's slots, the executing
+/// shard's scratch row and held-byte store, and — at the root — result_;
+/// `complete_` has a single writer (the root's shard) and is read at the
+/// barrier.
 class FlatAggregateConvergecastPhase final : public net::FlatPhase {
  public:
   /// Overwrites every slot of the row with peer p's local contribution
@@ -95,42 +104,43 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
                     std::uint32_t num_shards) override {
     const auto n = overlay.num_peers();
     complete_.store(false, std::memory_order_relaxed);
-    // Rows only where children merge (the root and members with downstream
-    // peers); a leaf sums into its shard's scratch row and encodes from it.
-    row_of_.assign(n, kNoRow);
-    std::uint32_t rows = 0;
-    for (std::uint32_t p = 0; p < n; ++p) {
-      const PeerId id(p);
-      if (hierarchy_.is_member(id) &&
-          (id == hierarchy_.root() || !hierarchy_.downstream(id).empty())) {
-        row_of_[p] = rows++;
-      }
-    }
-    sums_.reshape(rows, width_);
     scratch_.reshape(num_shards, width_);
+    result_.resize(width_);
     pending_.assign(n, 0);
     init_.assign(n, false);
     sent_.assign(n, false);
     sent_bytes_.assign(n, 0);
     // Causal-parent slots, one contiguous store with per-peer offsets:
     // each peer records at most 1 (phase-open cause) + |downstream| ids.
+    // held_ shares the layout: child k's payload ref sits at offset + 1 + k.
+    // Each shard's byte store reserves what its members' children send at
+    // one byte per lane, plus half again for multi-byte lanes.
+    const net::ShardPlan plan(n, num_shards);
+    std::vector<std::size_t> reserve(num_shards, 0);
+    const std::size_t min_child = width_ + net::varint_size(width_);
     parent_count_.assign(n, 0);
     parent_offset_.assign(n + 1, 0);
     std::uint32_t off = 0;
     for (std::uint32_t p = 0; p < n; ++p) {
       parent_offset_[p] = off;
       if (!hierarchy_.is_member(PeerId(p))) continue;  // no slots needed
-      off += 1 + static_cast<std::uint32_t>(
-                     hierarchy_.downstream(PeerId(p)).size());
+      const auto children = hierarchy_.downstream(PeerId(p)).size();
+      off += 1 + static_cast<std::uint32_t>(children);
+      reserve[plan.shard_of(PeerId(p))] += children * min_child * 3 / 2;
     }
     parent_offset_[n] = off;
     parents_.assign(off, obs::kNoLineage);
+    held_.resize(off);
+    held_bytes_.resize(num_shards);
+    for (std::uint32_t s = 0; s < num_shards; ++s) {
+      held_bytes_[s].reset();  // capacity kept across runs
+      held_bytes_[s].reserve(reserve[s]);
+    }
   }
 
   void on_start(net::PhaseContext& ctx) override {
     const PeerId p = ctx.self();
     if (!hierarchy_.is_member(p)) return;
-    local_(p, row(ctx));
     pending_[p] =
         static_cast<std::uint32_t>(hierarchy_.downstream(p).size());
     init_[p] = true;
@@ -146,7 +156,7 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
   /// The global sums; valid once complete().
   [[nodiscard]] std::span<const std::uint64_t> result() const {
     require(complete(), "convergecast not complete");
-    return sums_.row(row_of_[hierarchy_.root()]);
+    return result_;
   }
 
   /// Bytes this peer propagated upward (0 for the root). Valid after run.
@@ -166,24 +176,17 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
       obs_->tracer.record(obs::EventKind::kMerge, "convergecast.merge",
                           p.value(), sent_bytes_[p]);
     }
-    // The merge: decode-accumulate into this peer's row, no intermediate
-    // vector. A peer expecting children always owns a row.
-    net::add_aggregates_from(bytes, sums_.row(row_of_[p]));
+    // Hold the child's bytes, undecoded, until the last child reports; the
+    // ref's slab field names the shard whose store holds them.
+    const std::uint32_t slot = parent_offset_[p.value()] + parent_count_[p];
+    held_[slot] = net::copy_to_slab(held_bytes_[ctx.shard()], ctx.shard(),
+                                    bytes);
     --pending_[p];
     push_parent(p, ctx.cause());
     maybe_forward(ctx);
   }
 
  private:
-  static constexpr std::uint32_t kNoRow = ~std::uint32_t{0};
-
-  /// The executing peer's sums: its own row, or for a leaf the shard's
-  /// scratch row, which it fills and encodes within one callback.
-  std::span<std::uint64_t> row(const net::PhaseContext& ctx) {
-    const std::uint32_t r = row_of_[ctx.self()];
-    return r != kNoRow ? sums_.row(r) : scratch_.row(ctx.shard());
-  }
-
   void push_parent(PeerId p, obs::LineageId id) {
     const std::uint32_t slot = parent_offset_[p.value()] +
                                parent_count_[p]++;
@@ -191,17 +194,30 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
     parents_[slot] = id;
   }
 
+  /// The one merge per member, once its last child has reported: its own
+  /// contribution plus every held child payload, summed in the shard's
+  /// scratch row, then encoded upward from it (or, at the root, published).
   void maybe_forward(net::PhaseContext& ctx) {
     const PeerId p = ctx.self();
     if (pending_[p] != 0 || sent_[p] != 0) return;
+    const std::span<std::uint64_t> row = scratch_.row(ctx.shard());
+    local_(p, row);
+    const std::uint32_t base = parent_offset_[p.value()];
+    for (std::uint32_t slot = base + 1; slot < base + parent_count_[p];
+         ++slot) {
+      const net::PayloadRef ref = held_[slot];
+      net::add_aggregates_from(
+          held_bytes_[ref.slab].view(ref.offset, ref.length), row);
+    }
     if (p == hierarchy_.root()) {
+      std::copy(row.begin(), row.end(), result_.begin());
       complete_.store(true, std::memory_order_relaxed);
-      if (on_complete_) on_complete_(ctx, row(ctx));
+      if (on_complete_) on_complete_(ctx, result_);
       return;
     }
     sent_[p] = true;
     net::PayloadWriter w = ctx.flat_payload();
-    net::encode_aggregates_to(w, row(ctx));
+    net::encode_aggregates_to(w, row);
     const net::PayloadRef ref = w.finish();
     const std::uint64_t bytes = flat_bytes_ != 0 ? flat_bytes_ : ref.length;
     sent_bytes_[p] = bytes;
@@ -222,9 +238,8 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
   CompleteFn on_complete_;
 
   // SoA per-peer state (see header comment).
-  PeerArena<std::uint32_t> row_of_;  ///< sums_ row, or kNoRow for leaves
-  PeerRowArena<std::uint64_t> sums_;
   PeerRowArena<std::uint64_t> scratch_;  ///< one row per shard
+  std::vector<std::uint64_t> result_;    ///< the root's sums, width wide
   PeerArena<std::uint32_t> pending_;
   PeerArena<bool> init_;
   PeerArena<bool> sent_;
@@ -232,6 +247,8 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
   PeerArena<std::uint32_t> parent_count_;
   std::vector<std::uint32_t> parent_offset_;
   std::vector<obs::LineageId> parents_;
+  std::vector<net::PayloadRef> held_;       ///< laid out like parents_
+  std::vector<net::SlabArena> held_bytes_;  ///< one store per shard
   std::atomic<bool> complete_{false};
 };
 

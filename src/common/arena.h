@@ -84,12 +84,11 @@ class PeerArena {
 };
 
 /// Dense rows of a fixed width in one contiguous buffer — the
-/// structure-of-arrays layout for per-peer vectors (e.g. the f×g group sums
-/// of a netFilter filtering pass). The owner maps peers (or shards) to row
-/// indices, so it can keep rows only where it needs them. Rows are
-/// contiguous: a convergecast merge is a SIMD-friendly column add into the
-/// parent's row, and the sharding contract holds because distinct owners
-/// get disjoint row spans (DESIGN.md §6f).
+/// structure-of-arrays layout for per-owner vectors. The owner maps peers
+/// (or shards) to row indices, so it can keep rows only where it needs
+/// them; the aggregate convergecast keeps one f×g scratch row per shard,
+/// where each member merges once (DESIGN.md §6f). The sharding contract
+/// holds because distinct owners get disjoint row spans.
 template <typename T>
 class PeerRowArena {
   static_assert(std::is_trivially_copyable_v<T>,
@@ -136,9 +135,10 @@ class PeerRowArena {
 
 /// Contiguous column add: acc[i] += src[i] for i < n. The restrict
 /// qualification promises the compiler the two columns never alias —
-/// true for PeerRowArena rows, which are disjoint by construction — so
-/// it can emit wide vector adds instead of scalar load/add/store chains.
-/// This is the merge kernel of every aggregate convergecast.
+/// true for distinct rows or vectors — so it can emit wide vector adds
+/// instead of scalar load/add/store chains. The partitioned protocol's
+/// slice merge uses it; the flat aggregate convergecast decodes varints
+/// straight into `+=` instead (net::add_aggregates_from).
 inline void add_columns(std::uint64_t* __restrict acc,
                         const std::uint64_t* __restrict src,
                         std::size_t n) {

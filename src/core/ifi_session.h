@@ -90,9 +90,10 @@ class IfiSessionPhases {
   obs::Context* obs_;
 
   // Flat slab-backed phases (agg/flat_phases.h): group sums ride the wire
-  // as varint vectors merged by column adds into rows kept only where
-  // children merge; the heavy set travels as one delta-coded id list,
-  // decoded once at the root for every peer that receives those bytes.
+  // as varint vectors, held undecoded until a member's last child reports
+  // and then merged once in the shard's scratch row; the heavy set travels
+  // as one delta-coded id list, decoded once at the root for every peer
+  // that receives those bytes.
   agg::FlatAggregateConvergecastPhase filtering_;
   agg::FlatMulticastPhase dissemination_;
   agg::FlatPairsConvergecastPhase aggregation_;

@@ -449,9 +449,10 @@ TEST(MutationSweepTest, HeavyGroupDecoderYieldsValueOrProtocolError) {
 // The same sweep one layer up: the mutants reach the phase handlers inside
 // an engine run, as a peer would receive them — the heavy-set receipt of
 // IfiSessionPhases (through the dissemination multicast) and the merge of
-// FlatAggregateConvergecastPhase::on_flat. Each run stops before the honest
-// copy reaches the target, so a run that returns means the target decoded
-// the mutant and acted on it.
+// FlatAggregateConvergecastPhase, which holds each child's bytes until the
+// last child reports. Each run stops before a copy the target does not
+// expect reaches it, so a run that returns means the target decoded the
+// mutant and acted on it.
 
 /// Drives `mux`; in round `at`, peer `from` sends `to` the bytes `forged`
 /// tagged for (session 0, `phase`).
@@ -645,8 +646,6 @@ TEST(MutationSweepTest, WarmCacheDecodesAndRejectsAMutatedHeavySet) {
 }
 
 TEST(MutationSweepTest, AggregateMergeYieldsValueOrProtocolError) {
-  // Line 0-1-2-3: peer 1 waits for peer 2's sums until round 2, so a copy
-  // peer 2 forges in round 0 is the first thing peer 1 merges.
   constexpr std::uint32_t kWidth = 4;
   Rng rng(37);
   std::vector<Bytes> valid;
@@ -655,26 +654,47 @@ TEST(MutationSweepTest, AggregateMergeYieldsValueOrProtocolError) {
     for (std::uint64_t& x : v) x = any_width(rng);
     valid.push_back(encode_aggregates(v));
   }
-  Overlay overlay(line_topology(4));
-  const agg::Hierarchy hierarchy = agg::build_bfs_hierarchy(overlay, PeerId(0));
-  sweep("FlatAggregateConvergecastPhase::on_flat", valid,
-        [&](std::span<const std::uint8_t> in) {
-          agg::FlatAggregateConvergecastPhase cast(
-              hierarchy, TrafficCategory::kFiltering, kWidth,
-              [](PeerId p, std::span<std::uint64_t> out) {
-                std::fill(out.begin(), out.end(), p.value());
-              },
-              /*flat_bytes=*/0);
-          SessionMux mux;
-          (void)mux.add_phase(mux.add_session(), cast,
-                              kStandaloneConvergecast);
-          InjectingProtocol inject(mux, PeerId(2), PeerId(1), /*phase=*/0,
-                                   /*at=*/0, in);
-          TrafficMeter meter(4);
-          Engine engine(overlay, meter, {});
-          (void)engine.run(inject, /*max_rounds=*/2);
-        },
-        rng);
+  // Peer 2 forges a copy to peer 1 in round 0; `max_rounds` ends the run
+  // once peer 1 has merged it.
+  const auto forge_to_peer_1 = [](const Topology& topo,
+                                  std::uint64_t max_rounds) {
+    return [&topo, max_rounds](std::span<const std::uint8_t> in) {
+      Overlay overlay(topo);
+      const agg::Hierarchy hierarchy =
+          agg::build_bfs_hierarchy(overlay, PeerId(0));
+      agg::FlatAggregateConvergecastPhase cast(
+          hierarchy, TrafficCategory::kFiltering, kWidth,
+          [](PeerId p, std::span<std::uint64_t> out) {
+            std::fill(out.begin(), out.end(), p.value());
+          },
+          /*flat_bytes=*/0);
+      SessionMux mux;
+      (void)mux.add_phase(mux.add_session(), cast, kStandaloneConvergecast);
+      InjectingProtocol inject(mux, PeerId(2), PeerId(1), /*phase=*/0,
+                               /*at=*/0, in);
+      TrafficMeter meter(overlay.num_peers());
+      Engine engine(overlay, meter, {});
+      (void)engine.run(inject, max_rounds);
+    };
+  };
+  // Line 0-1-2-3: peer 1's only child, peer 2, reports in round 2, so the
+  // forged copy (round 1) is the one peer 1 merges.
+  const Topology line = line_topology(4);
+  sweep("FlatAggregateConvergecastPhase merge (one child)", valid,
+        forge_to_peer_1(line, /*max_rounds=*/2), rng);
+  // Peer 1 has two children: 2 (over 3) reports in round 2, 4 (over 5-6)
+  // in round 3. The forged copy arrives first, in round 1, and is held;
+  // peer 2's honest copy in round 2 completes the merge, which decodes
+  // the held mutant.
+  Topology two_children(7);
+  two_children.add_edge(PeerId(0), PeerId(1));
+  two_children.add_edge(PeerId(1), PeerId(2));
+  two_children.add_edge(PeerId(2), PeerId(3));
+  two_children.add_edge(PeerId(1), PeerId(4));
+  two_children.add_edge(PeerId(4), PeerId(5));
+  two_children.add_edge(PeerId(5), PeerId(6));
+  sweep("FlatAggregateConvergecastPhase merge (held first)", valid,
+        forge_to_peer_1(two_children, /*max_rounds=*/3), rng);
 }
 
 }  // namespace

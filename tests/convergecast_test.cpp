@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -180,12 +181,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2u, 5u, 37u, 256u, 1000u),
                        ::testing::Values(11u, 12u)));
 
-// FlatAggregateConvergecastPhase keeps rows only where children merge (the
-// root and members with downstream peers); leaves sum into their shard's
-// scratch row. Against a reference computed per subtree, the global sums
-// and every peer's upward payload size must be exact on every shape —
-// including a root that is itself a leaf — and at several shard counts.
+// FlatAggregateConvergecastPhase holds each child's encoded payload until
+// the parent's last child reports, then merges once in the shard's scratch
+// row. Against a reference computed per subtree, the global sums and every
+// peer's upward payload size must be exact on every shape — including a
+// root that is itself a leaf — and at several shard counts.
 constexpr std::uint32_t kFlatWidth = 5;
+
+using FlatLocal = std::vector<std::uint64_t> (*)(PeerId);
 
 std::vector<std::uint64_t> flat_local(PeerId p) {
   std::vector<std::uint64_t> row(kFlatWidth);
@@ -196,10 +199,23 @@ std::vector<std::uint64_t> flat_local(PeerId p) {
   return row;
 }
 
-std::vector<std::uint64_t> subtree_sum(const Hierarchy& h, PeerId p) {
-  std::vector<std::uint64_t> sum = flat_local(p);
+// 9- and 10-byte varints: every payload is several times the one byte per
+// lane that the byte store reserves, so held payloads overrun it. Subtree
+// sums wrap modulo 2^64, which addition order does not change.
+std::vector<std::uint64_t> wide_local(PeerId p) {
+  std::vector<std::uint64_t> row(kFlatWidth);
+  for (std::uint32_t j = 0; j < kFlatWidth; ++j) {
+    row[j] = (std::uint64_t{1} << (56 + 7 * (j % 2))) +
+             std::uint64_t{p.value()} * 977 + j * 131;
+  }
+  return row;
+}
+
+std::vector<std::uint64_t> subtree_sum(const Hierarchy& h, PeerId p,
+                                       FlatLocal local) {
+  std::vector<std::uint64_t> sum = local(p);
   for (const PeerId c : h.downstream(p)) {
-    const std::vector<std::uint64_t> child = subtree_sum(h, c);
+    const std::vector<std::uint64_t> child = subtree_sum(h, c, local);
     for (std::uint32_t j = 0; j < kFlatWidth; ++j) sum[j] += child[j];
   }
   return sum;
@@ -211,33 +227,48 @@ Topology star(std::uint32_t n) {
   return t;
 }
 
-void expect_flat_sums_exact(Topology topo) {
+FlatAggregateConvergecastPhase make_flat_cast(const Hierarchy& hierarchy,
+                                              FlatLocal local) {
+  return FlatAggregateConvergecastPhase(
+      hierarchy, TrafficCategory::kFiltering, kFlatWidth,
+      [local](PeerId p, std::span<std::uint64_t> out) {
+        const std::vector<std::uint64_t> row = local(p);
+        std::copy(row.begin(), row.end(), out.begin());
+      },
+      /*flat_bytes=*/0);
+}
+
+// Checks one completed run against the per-subtree reference.
+void expect_flat_run_exact(const Fixture& fx,
+                           const FlatAggregateConvergecastPhase& cast,
+                           FlatLocal local) {
+  ASSERT_TRUE(cast.complete());
+  const PeerId root = fx.hierarchy.root();
+  const std::vector<std::uint64_t> global =
+      subtree_sum(fx.hierarchy, root, local);
+  EXPECT_TRUE(std::equal(global.begin(), global.end(),
+                         cast.result().begin(), cast.result().end()));
+  for (std::uint32_t i = 0; i < fx.overlay.num_peers(); ++i) {
+    const PeerId p(i);
+    const std::uint64_t expected =
+        p == root ? 0
+                  : net::encode_aggregates(subtree_sum(fx.hierarchy, p, local))
+                        .size();
+    EXPECT_EQ(cast.sent_bytes(p), expected) << "peer " << i;
+  }
+}
+
+void expect_flat_sums_exact(Topology topo, FlatLocal local = flat_local) {
   for (const std::uint32_t threads : {1u, 3u}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     Fixture fx(topo);
-    FlatAggregateConvergecastPhase cast(
-        fx.hierarchy, TrafficCategory::kFiltering, kFlatWidth,
-        [](PeerId p, std::span<std::uint64_t> out) {
-          const std::vector<std::uint64_t> row = flat_local(p);
-          std::copy(row.begin(), row.end(), out.begin());
-        },
-        /*flat_bytes=*/0);
+    FlatAggregateConvergecastPhase cast = make_flat_cast(fx.hierarchy, local);
     Engine engine(fx.overlay, fx.meter, {.threads = threads});
     run_phase(engine, cast, kStandaloneConvergecast, 100);
-    ASSERT_TRUE(cast.complete());
-    const PeerId root = fx.hierarchy.root();
-    const std::vector<std::uint64_t> global = subtree_sum(fx.hierarchy, root);
-    EXPECT_TRUE(std::equal(global.begin(), global.end(),
-                           cast.result().begin(), cast.result().end()));
+    expect_flat_run_exact(fx, cast, local);
     std::uint64_t total = 0;
     for (std::uint32_t i = 0; i < fx.overlay.num_peers(); ++i) {
-      const PeerId p(i);
-      const std::uint64_t expected =
-          p == root ? 0
-                    : net::encode_aggregates(subtree_sum(fx.hierarchy, p))
-                          .size();
-      EXPECT_EQ(cast.sent_bytes(p), expected) << "peer " << i;
-      total += expected;
+      total += cast.sent_bytes(PeerId(i));
     }
     EXPECT_EQ(fx.meter.total(TrafficCategory::kFiltering), total);
   }
@@ -258,6 +289,42 @@ TEST(FlatAggregateConvergecastTest, LineMergesAtEveryInnerPeer) {
 TEST(FlatAggregateConvergecastTest, RandomTreeSumsAndPayloadsAreExact) {
   Rng rng(31);
   expect_flat_sums_exact(net::random_tree(40, 3, rng));
+}
+
+TEST(FlatAggregateConvergecastTest, WideVarintsOverrunTheReservation) {
+  Rng rng(32);
+  expect_flat_sums_exact(net::random_tree(40, 3, rng), wide_local);
+  expect_flat_sums_exact(star(9), wide_local);
+}
+
+TEST(FlatAggregateConvergecastTest, RerunReusesTheStoreExactly) {
+  // One phase object, two runs: the second starts from the first run's
+  // byte-store capacity (grown past its reservation by the wide lanes)
+  // and must reproduce every sum and payload size.
+  Rng rng(33);
+  const Topology topo = net::random_tree(40, 3, rng);
+  for (const std::uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    Fixture fx(topo);
+    FlatAggregateConvergecastPhase cast =
+        make_flat_cast(fx.hierarchy, wide_local);
+    Engine engine(fx.overlay, fx.meter, {.threads = threads});
+    run_phase(engine, cast, kStandaloneConvergecast, 100);
+    expect_flat_run_exact(fx, cast, wide_local);
+    const std::vector<std::uint64_t> first(cast.result().begin(),
+                                           cast.result().end());
+    std::vector<std::uint64_t> first_bytes;
+    for (std::uint32_t i = 0; i < fx.overlay.num_peers(); ++i) {
+      first_bytes.push_back(cast.sent_bytes(PeerId(i)));
+    }
+    run_phase(engine, cast, kStandaloneConvergecast, 100);
+    expect_flat_run_exact(fx, cast, wide_local);
+    EXPECT_TRUE(std::equal(first.begin(), first.end(),
+                           cast.result().begin(), cast.result().end()));
+    for (std::uint32_t i = 0; i < fx.overlay.num_peers(); ++i) {
+      EXPECT_EQ(cast.sent_bytes(PeerId(i)), first_bytes[i]) << "peer " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -84,6 +84,42 @@ TEST(SteadyAllocTest, WarmedFlatRunAllocatesNothing) {
       << "flat hot path allocated on a warmed engine";
 }
 
+TEST(SteadyAllocTest, WarmedWideFlatRunAllocatesNothing) {
+  // netFilter's shape: f×g = 500 lanes per message, every tenth a 2-byte
+  // varint at the leaves already. Parents hold their children's payloads
+  // in per-shard byte stores reserved at run start, so the round loop
+  // must not grow them.
+  ASSERT_TRUE(alloc_hook::armed());
+  constexpr std::uint32_t kWide = 500;
+  Rng rng(14);
+  Overlay overlay(net::random_tree(kPeers, 3, rng));
+  TrafficMeter meter(overlay.num_peers());
+  const Hierarchy hierarchy = build_bfs_hierarchy(overlay, PeerId(0));
+  Engine engine(overlay, meter, {});
+  const auto make_wide = [&hierarchy] {
+    return FlatAggregateConvergecastPhase(
+        hierarchy, TrafficCategory::kFiltering, kWide,
+        [](PeerId p, std::span<std::uint64_t> out) {
+          for (std::uint32_t j = 0; j < kWide; ++j) {
+            out[j] = j % 10 == 0 ? 128 + (p.value() + j) % 100
+                                 : (p.value() + j) % 7;
+          }
+        },
+        /*flat_bytes=*/0);
+  };
+
+  FlatAggregateConvergecastPhase warm = make_wide();
+  run_phase(engine, warm, kStandaloneConvergecast, 100);
+  ASSERT_TRUE(warm.complete());
+
+  engine.begin_steady_state();
+  FlatAggregateConvergecastPhase steady = make_wide();
+  run_phase(engine, steady, kStandaloneConvergecast, 100);
+  ASSERT_TRUE(steady.complete());
+  EXPECT_EQ(engine.steady_allocs(), 0u)
+      << "wide flat convergecast allocated on a warmed engine";
+}
+
 TEST(SteadyAllocTest, WarmedLossyFlatRunAllocatesNothing) {
   // The reliability layer's bookkeeping — the unacked table, its payload
   // bytes, the retransmit wheel and the delivered bits — is recycled too:
