@@ -226,15 +226,22 @@ void BM_CodecRoundTripPairs(benchmark::State& state) {
 }
 BENCHMARK(BM_CodecRoundTripPairs)->Arg(1000)->Arg(10000);
 
+// Args: {N peers, n items}, 10 instances per item. {4000, 10^5} is the
+// perfbench lossy_multiquery data set, whose set-up time is mostly this.
 void BM_WorkloadGenerate(benchmark::State& state) {
   for (auto _ : state) {
     wl::WorkloadConfig wc;
-    wc.num_peers = 100;
-    wc.num_items = static_cast<std::uint64_t>(state.range(0));
+    wc.num_peers = static_cast<std::uint32_t>(state.range(0));
+    wc.num_items = static_cast<std::uint64_t>(state.range(1));
     benchmark::DoNotOptimize(wl::Workload::generate(wc));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(1) * 10);
 }
-BENCHMARK(BM_WorkloadGenerate)->Arg(10000)->Arg(100000)
+BENCHMARK(BM_WorkloadGenerate)
+    ->Args({100, 10000})
+    ->Args({100, 100000})
+    ->Args({4000, 100000})
     ->Unit(benchmark::kMillisecond);
 
 // --- per-peer state fixtures: PeerArena vs the node-based maps it replaced.

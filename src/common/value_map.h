@@ -68,21 +68,25 @@ class ValueMap {
 
   ValueMap() = default;
 
-  /// Builds from unsorted pairs, combining duplicates by summing.
+  /// Builds from unsorted pairs, combining duplicates by summing. The
+  /// duplicates are summed in place, so the map holds exactly its distinct
+  /// ids however many pairs repeat them.
   static ValueMap from_unsorted(std::vector<value_type> pairs) {
     std::sort(pairs.begin(), pairs.end(),
               [](const value_type& a, const value_type& b) {
                 return a.first < b.first;
               });
-    ValueMap out;
-    out.entries_.reserve(pairs.size());
-    for (const auto& [id, v] : pairs) {
-      if (!out.entries_.empty() && out.entries_.back().first == id) {
-        out.entries_.back().second += v;
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (distinct > 0 && pairs[distinct - 1].first == pairs[i].first) {
+        pairs[distinct - 1].second += pairs[i].second;
       } else {
-        out.entries_.emplace_back(id, v);
+        pairs[distinct++] = pairs[i];
       }
     }
+    ValueMap out;
+    out.entries_.assign(pairs.begin(),
+                        pairs.begin() + static_cast<std::ptrdiff_t>(distinct));
     return out;
   }
 

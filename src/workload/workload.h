@@ -36,10 +36,16 @@ struct WorkloadConfig {
 
 class Workload final : public ItemSource {
  public:
-  /// Generates the paper's synthetic workload.
+  /// Generates the paper's synthetic workload. Each rank's item id is
+  /// hashed once and the n ids are radix-sorted once; every drawn instance
+  /// is bucketed at its peer as its rank's slot, the id's position in that
+  /// ascending order (a u32: 4 transient bytes per instance). A peer's map
+  /// is then a radix sort of its slots and a run-length count appended in
+  /// slot order, which is id order, so no pair is hashed or sorted again.
   static Workload generate(const WorkloadConfig& config);
 
-  /// Wraps explicit local item sets (application adapters, tests).
+  /// Wraps explicit local item sets (application adapters, tests). Ground
+  /// truth is one sort of all the peers' pairs.
   static Workload from_local_sets(std::vector<LocalItems> local_sets);
 
   // ItemSource

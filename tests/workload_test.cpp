@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
+#include "common/hashing.h"
+#include "common/rng.h"
 
 namespace nf::wl {
 namespace {
@@ -110,6 +115,64 @@ TEST(WorkloadTest, AvgValuesAreConsistent) {
   EXPECT_GT(w.avg_light_value(t), 0.0);
 }
 
+// One 64-bit digest of everything `generate` outputs: every peer's
+// (peer, id, value) triples in map order, the global map and the total.
+std::uint64_t output_digest(const Workload& w) {
+  std::uint64_t h = 0;
+  const auto mix = [&h](std::uint64_t x) { h = hash64(x, h); };
+  for (std::uint32_t p = 0; p < w.num_peers(); ++p) {
+    for (const auto& [id, v] : w.local_items(PeerId(p))) {
+      mix(p);
+      mix(id.value());
+      mix(v);
+    }
+  }
+  for (const auto& [id, v] : w.global()) {
+    mix(id.value());
+    mix(v);
+  }
+  mix(w.total_value());
+  return h;
+}
+
+// Pins `generate`'s output bit for bit, so a faster generator must draw and
+// compact exactly as before. The shapes cover the skew range, the floor off
+// and skipped (fewer instances than items), peers left empty, one item, and
+// more than 2^20 items on a few peers.
+TEST(WorkloadTest, GenerateOutputIsPinned) {
+  struct Case {
+    std::uint32_t peers;
+    std::uint64_t items;
+    double per_item;
+    double alpha;
+    bool floor;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {50, 2000, 10.0, 0.0, true, 8919794901091273148ull},
+      {50, 2000, 10.0, 1.0, true, 14985248375247148016ull},
+      {50, 2000, 10.0, 2.0, true, 7314617564984160243ull},
+      {50, 2000, 10.0, 5.0, true, 6879683798867788205ull},
+      {50, 2000, 10.0, 1.0, false, 10738321784167448246ull},
+      {40, 5000, 0.5, 1.0, true, 13343846567175654432ull},
+      {1000, 20, 10.0, 1.0, true, 16664624576842106818ull},
+      {7, 1, 10.0, 1.0, true, 8168093017880793246ull},
+      {3, (1u << 20) + 17, 1.25, 0.8, true, 6621366217420424855ull},
+  };
+  for (const Case& c : cases) {
+    WorkloadConfig cfg;
+    cfg.num_peers = c.peers;
+    cfg.num_items = c.items;
+    cfg.instances_per_item = c.per_item;
+    cfg.alpha = c.alpha;
+    cfg.min_one_instance = c.floor;
+    cfg.seed = 2024;
+    const Workload w = Workload::generate(cfg);
+    EXPECT_EQ(output_digest(w), c.digest)
+        << "N=" << c.peers << " n=" << c.items << " alpha=" << c.alpha;
+  }
+}
+
 TEST(WorkloadTest, FromLocalSetsBuildsGroundTruth) {
   std::vector<LocalItems> locals(2);
   locals[0].add(ItemId(1), 5);
@@ -120,6 +183,36 @@ TEST(WorkloadTest, FromLocalSetsBuildsGroundTruth) {
   EXPECT_EQ(w.global().value_of(ItemId(1)), 8u);
   EXPECT_EQ(w.global().value_of(ItemId(2)), 1u);
   EXPECT_EQ(w.num_distinct(), 2u);
+}
+
+// from_local_sets builds ground truth with one sort of every peer's pairs;
+// it must equal the fold of merge_add over the peers it replaced.
+TEST(WorkloadTest, FromLocalSetsMatchesMergeFold) {
+  Rng rng(7);
+  for (const std::uint32_t peers : {1u, 3u, 40u, 300u}) {
+    std::vector<LocalItems> locals(peers);
+    for (auto& local : locals) {
+      const std::uint64_t size = rng.below(60);
+      std::vector<std::pair<ItemId, Value>> pairs;
+      for (std::uint64_t i = 0; i < size; ++i) {
+        // A small universe, so peers share ids; half of them hashed, so
+        // ids also lie far apart.
+        const std::uint64_t id = rng.below(2) == 0
+                                     ? rng.below(100)
+                                     : hash64(rng.below(100), 1);
+        pairs.emplace_back(ItemId(id), 1 + rng.below(1000));
+      }
+      local = LocalItems::from_unsorted(std::move(pairs));
+    }
+    LocalItems fold;
+    for (const auto& local : locals) fold.merge_add(local);
+    const Workload w = Workload::from_local_sets(locals);
+    EXPECT_EQ(w.global(), fold) << "peers=" << peers;
+    EXPECT_EQ(w.total_value(), fold.total());
+    for (std::uint32_t p = 0; p < peers; ++p) {
+      EXPECT_EQ(w.local_items(PeerId(p)), locals[p]);
+    }
+  }
 }
 
 TEST(WorkloadTest, ItemIdsAreScatteredNotSequential) {
