@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "agg/root_selection.h"
-#include "core/gossip_netfilter.h"
 #include "core/misra_gries.h"
 #include "core/partitioned.h"
 #include "core/naive.h"
@@ -48,8 +47,6 @@ struct Options {
   std::string algo = "netfilter";
   double participation = 1.0;
   double epsilon = 0.005;
-  std::uint32_t gossip_rounds = 80;
-  double slack = 0.15;
   std::string wire = "flat";
   std::uint32_t topk = 0;  // 0 = threshold query (default)
   std::uint64_t seed = 42;
@@ -67,10 +64,10 @@ struct Options {
       "query:      --theta=T (threshold ratio, default 0.01)\n"
       "topology:   --topology=tree|er|ws|ba --fanout=B --degree=D\n"
       "            --root=random|stable|center (hierarchy root policy)\n"
-      "algorithm:  --algo=netfilter|naive|gossip|approx|partitioned|all\n"
+      "algorithm:  --algo=netfilter|naive|approx|partitioned|all\n"
       "            --g=G --f=F | --tune (pick G, F by in-network sampling)\n"
       "            --participation=P (stable-peer fraction forming the tree)\n"
-      "            --epsilon=E (approx) --rounds=R --slack=D (gossip)\n"
+      "            --epsilon=E (approx)\n"
       "accounting: --wire=flat|varint (paper byte model vs real encoding)\n"
       "top-k:      --topk=K (k most frequent items instead of a threshold)\n";
   std::exit(code);
@@ -101,8 +98,6 @@ Options parse(int argc, char** argv) {
       else if (key == "--algo") opt.algo = val;
       else if (key == "--participation") opt.participation = std::stod(val);
       else if (key == "--epsilon") opt.epsilon = std::stod(val);
-      else if (key == "--rounds") opt.gossip_rounds = static_cast<std::uint32_t>(std::stoul(val));
-      else if (key == "--slack") opt.slack = std::stod(val);
       else if (key == "--wire") opt.wire = val;
       else if (key == "--topk") opt.topk = static_cast<std::uint32_t>(std::stoul(val));
       else if (key == "--seed") opt.seed = std::stoull(val);
@@ -283,29 +278,6 @@ int main(int argc, char** argv) {
     std::cout << "naive: " << res.frequent.size() << " items, "
               << res.stats.cost_per_peer << " bytes/peer, exact: "
               << (res.frequent == oracle ? "yes" : "NO") << "\n";
-  }
-
-  if (all || opt.algo == "gossip") {
-    ran = true;
-    if (opt.topology == "tree") {
-      std::cout << "(hint: push-sum mixes poorly on trees; consider "
-                   "--topology=er for the gossip algorithm)\n";
-    }
-    core::GossipNetFilterConfig cfg;
-    cfg.num_groups = g;
-    cfg.num_filters = f;
-    cfg.phase1_rounds = opt.gossip_rounds;
-    cfg.phase2_rounds = opt.gossip_rounds;
-    cfg.slack = opt.slack;
-    cfg.seed = opt.seed;
-    const auto res = core::GossipNetFilter(cfg).run(
-        workload, overlay, PeerId(0), meter, threshold, &oracle);
-    std::cout << "gossip netFilter (" << opt.gossip_rounds
-              << " rounds/phase): " << res.reported.size() << " items, "
-              << res.stats.total_cost() << " bytes/peer, fp="
-              << res.stats.false_positives << " fn="
-              << res.stats.false_negatives << " max_rel_err="
-              << res.stats.max_value_rel_error << "\n";
   }
 
   if (all || opt.algo == "partitioned") {

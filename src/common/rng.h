@@ -10,9 +10,8 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <vector>
+#include <utility>
 
-#include "common/arena.h"
 #include "common/error.h"
 
 namespace nf {
@@ -99,21 +98,6 @@ class Rng {
 
   std::array<std::uint64_t, 4> state_{};
 };
-
-/// One independent RNG stream per peer, all derived from a single master
-/// seed: stream p is the p-th fork, so the arena is reproducible from the
-/// seed alone and safe to index from concurrent shards (each peer's
-/// callbacks touch only its own stream).
-[[nodiscard]] inline PeerArena<Rng> fork_streams(std::uint64_t seed,
-                                                 std::uint32_t num_peers) {
-  Rng master(seed);
-  std::vector<Rng> streams;
-  streams.reserve(num_peers);
-  for (std::uint32_t p = 0; p < num_peers; ++p) {
-    streams.push_back(master.fork());
-  }
-  return PeerArena<Rng>(std::move(streams));
-}
 
 /// Fisher-Yates shuffle of a random-access container with an nf::Rng.
 template <typename Container>

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -133,8 +132,7 @@ class ValueMap {
   /// chains always read distinct pairs and no bound is checked per step.
   /// When fewer than two pairs remain on one side, a scalar pass merges
   /// what is left onto the front output and the back output is moved down
-  /// behind it. Values of ids present in only one input are copied, never
-  /// added to zero, so double-valued maps keep their exact bits.
+  /// behind it.
   void merge_add(const ValueMap& other) {
     const std::size_t n = entries_.size();
     const std::size_t m = other.entries_.size();
@@ -248,28 +246,21 @@ class ValueMap {
   using Key = decltype(std::declval<const Id&>().value());
   static_assert(std::is_unsigned_v<Key>, "ValueMap ids wrap unsigned keys");
 
+  /// Values are counts: masks and sums below assume unsigned wraparound.
+  static_assert(std::is_unsigned_v<Value> && std::is_integral_v<Value>,
+                "ValueMap values are unsigned integers");
+
   /// `c ? x : y` by masking the bits, so it compiles to no branch.
   template <typename T>
   [[nodiscard]] static T select(bool c, T x, T y) {
-    if constexpr (std::is_integral_v<T>) {
-      return y ^ ((x ^ y) & (T{0} - static_cast<T>(c)));
-    } else {
-      static_assert(sizeof(T) == sizeof(std::uint64_t));
-      return std::bit_cast<T>(select(c, std::bit_cast<std::uint64_t>(x),
-                                     std::bit_cast<std::uint64_t>(y)));
-    }
+    return y ^ ((x ^ y) & (T{0} - static_cast<T>(c)));
   }
 
   /// The value of one merge step's output: `va + vb` when both inputs
-  /// hold its id, else whichever one does. Integers mask and add; other
-  /// types select, so a lone value is copied, not added to zero.
+  /// hold its id, else whichever one does (a masked-out side adds 0).
   [[nodiscard]] static Value combine(Value va, Value vb, bool ta, bool tb) {
-    if constexpr (std::is_integral_v<Value>) {
-      return (va & (Value{0} - static_cast<Value>(ta))) +
-             (vb & (Value{0} - static_cast<Value>(tb)));
-    } else {
-      return select(ta && tb, va + vb, select(ta, va, vb));
-    }
+    return (va & (Value{0} - static_cast<Value>(ta))) +
+           (vb & (Value{0} - static_cast<Value>(tb)));
   }
 
   Storage entries_;

@@ -98,9 +98,8 @@ struct LinkFaultModel {
 
 /// How an engine runs, fixed at construction. Every default reproduces the
 /// paper's network: serial, loss-free, synchronous links, no telemetry.
-/// Protocol configs (core::NetFilterConfig, core::GossipNetFilterConfig)
-/// inherit it, so a site hands its whole config to the engine and cannot
-/// drop one setting.
+/// The protocol config (core::NetFilterConfig) inherits it, so a site
+/// hands its whole config to the engine and cannot drop one setting.
 struct EngineConfig {
   /// Shards/threads for protocol callbacks (1 = serial). Any value yields
   /// bit-identical results; K > 1 spawns K-1 pool workers (the engine
@@ -191,7 +190,7 @@ class Context {
 
   /// As send(), with an explicit causal parent set replacing the implicit
   /// cause() — for components whose sends merge several arrivals (e.g. a
-  /// convergecast forward, a gossip share). parents[0] becomes the primary
+  /// convergecast forward). parents[0] becomes the primary
   /// parent; the rest are recorded as sampled extra edges. Zero ids are
   /// ignored, so callers push causes unconditionally.
   NF_REENTRANT void send(PeerId to, TrafficCategory category,
@@ -280,7 +279,7 @@ class Protocol {
 
   /// Called once per round on the engine thread, after churn and before
   /// any delivery or tick — the place for whole-round bookkeeping that
-  /// must not live in per-peer callbacks (e.g. a gossip round counter).
+  /// must not live in per-peer callbacks (e.g. a round counter).
   NF_ENGINE_THREAD virtual void on_round_begin(std::uint64_t /*round*/) {}
 
   /// Called after message delivery for each alive peer the tick rule

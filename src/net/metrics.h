@@ -22,7 +22,7 @@ enum class TrafficCategory : std::uint8_t {
   kDissemination = 1,  ///< heavy group ids flowing down (phase 2a)
   kAggregation = 2,    ///< candidate <id,value> pairs flowing up (phase 2b)
   kNaive = 3,          ///< naive approach: full item sets flowing up
-  kGossip = 4,         ///< push-sum gossip traffic
+  kGossip = 4,         ///< gossip traffic (no sender; a stable report key)
   kSampling = 5,       ///< parameter-estimation sampling traffic
   kControl = 6,        ///< heartbeats, hierarchy formation/repair
   kHostReport = 7,     ///< non-participating peers reporting local sets

@@ -379,7 +379,7 @@ class SessionMux final : public Protocol {
 
 /// Options for a phase run alone: it opens at every alive peer on the first
 /// tick. A convergecast also buffers child messages that arrive before its
-/// own contribution exists; a broadcast (multicast, flood) opens on receipt.
+/// own contribution exists; a broadcast (multicast) opens on receipt.
 inline constexpr PhaseOptions kStandaloneConvergecast{
     PhaseStart::kAllPeers, /*open_on_message=*/false};
 inline constexpr PhaseOptions kStandaloneBroadcast{PhaseStart::kAllPeers};

@@ -10,7 +10,7 @@
 // originated it. Components never mint or rewrite ids themselves (nf-lint's
 // nf-envelope-discipline check enforces this): the primary parent flows
 // automatically from the delivery context, and multi-parent components
-// (convergecast merges, gossip) pass the full parent set to the send call.
+// (convergecast merges) pass the full parent set to the send call.
 //
 // The LineageRecorder stores the DAG in a bounded columnar ring (SoA): node
 // columns are overwritten FIFO once `capacity` admissions have happened, and

@@ -1,7 +1,7 @@
 // Structured protocol tracer (docs/OBSERVABILITY.md).
 //
 // Records span-style events — phase begin/end, engine round boundaries,
-// per-level convergecast merges, multicast fan-out, gossip rounds — into a
+// per-level convergecast merges, multicast fan-out — into a
 // bounded in-memory ring. Each event carries a global sequence number
 // (monotonic even after the ring wraps, so consumers can detect gaps) and a
 // logical timestamp: the engine advances the tracer clock once per
@@ -28,13 +28,12 @@ namespace nf::obs {
 inline constexpr std::uint32_t kNoPeer = 0xFFFFFFFFu;
 
 enum class EventKind : std::uint8_t {
-  kPhaseBegin,   ///< protocol phase opened (value unused)
-  kPhaseEnd,     ///< protocol phase closed (value = wall microseconds)
-  kRound,        ///< engine round boundary (value = messages delivered)
-  kMerge,        ///< convergecast child merged (value = message bytes)
-  kFanout,       ///< multicast forward (value = downstream copies)
-  kGossipRound,  ///< one gossip round completed (value = round index)
-  kMark,         ///< free-form point event
+  kPhaseBegin,  ///< protocol phase opened (value unused)
+  kPhaseEnd,    ///< protocol phase closed (value = wall microseconds)
+  kRound,       ///< engine round boundary (value = messages delivered)
+  kMerge,       ///< convergecast child merged (value = message bytes)
+  kFanout,      ///< multicast forward (value = downstream copies)
+  kMark,        ///< free-form point event
 };
 
 [[nodiscard]] constexpr std::string_view to_string(EventKind k) {
@@ -44,7 +43,6 @@ enum class EventKind : std::uint8_t {
     case EventKind::kRound: return "round";
     case EventKind::kMerge: return "merge";
     case EventKind::kFanout: return "fanout";
-    case EventKind::kGossipRound: return "gossip_round";
     case EventKind::kMark: return "mark";
   }
   return "?";

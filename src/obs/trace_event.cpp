@@ -17,7 +17,6 @@ namespace {
 constexpr std::uint64_t kPid = 0;
 constexpr std::uint64_t kMergeTid = 100;
 constexpr std::uint64_t kFanoutTid = 101;
-constexpr std::uint64_t kGossipTid = 102;
 constexpr std::uint64_t kMarkTid = 103;
 
 Json metadata(const char* what, std::uint64_t tid, std::string_view name) {
@@ -47,7 +46,6 @@ std::uint64_t instant_tid(EventKind kind) {
   switch (kind) {
     case EventKind::kMerge: return kMergeTid;
     case EventKind::kFanout: return kFanoutTid;
-    case EventKind::kGossipRound: return kGossipTid;
     default: return kMarkTid;
   }
 }
@@ -56,7 +54,6 @@ const char* instant_value_key(EventKind kind) {
   switch (kind) {
     case EventKind::kMerge: return "bytes";
     case EventKind::kFanout: return "copies";
-    case EventKind::kGossipRound: return "round";
     default: return "value";
   }
 }
@@ -85,9 +82,6 @@ Json trace_event_json(const Context& ctx) {
       case EventKind::kPhaseEnd: phase_tid(e.name); break;
       case EventKind::kMerge: instant_tracks[kMergeTid] = "merges"; break;
       case EventKind::kFanout: instant_tracks[kFanoutTid] = "fanouts"; break;
-      case EventKind::kGossipRound:
-        instant_tracks[kGossipTid] = "gossip";
-        break;
       case EventKind::kMark: instant_tracks[kMarkTid] = "marks"; break;
       case EventKind::kRound: break;
     }
@@ -133,7 +127,6 @@ Json trace_event_json(const Context& ctx) {
       }
       case EventKind::kMerge:
       case EventKind::kFanout:
-      case EventKind::kGossipRound:
       case EventKind::kMark: {
         Json i = event("i", e.name, e.clock, instant_tid(e.kind));
         i["s"] = "t";

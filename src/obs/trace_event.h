@@ -9,7 +9,7 @@
 //
 //   - every distinct phase name gets its own named track (thread), with
 //     "B"/"E" duration events from kPhaseBegin/kPhaseEnd (wall µs in args);
-//   - kMerge / kFanout / kGossipRound / kMark become per-peer instant
+//   - kMerge / kFanout / kMark become per-peer instant
 //     events ("i") on kind-named tracks, peer and value in args;
 //   - kRound events and every TimeSeries column become counter tracks
 //     ("C"), one per metric, so in-flight messages, per-round deliveries

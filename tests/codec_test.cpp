@@ -448,11 +448,12 @@ TEST(MutationSweepTest, HeavyGroupDecoderYieldsValueOrProtocolError) {
 
 // The same sweep one layer up: the mutants reach the phase handlers inside
 // an engine run, as a peer would receive them — the heavy-set receipt of
-// IfiSessionPhases (through the dissemination multicast) and the merge of
+// IfiSessionPhases (through the dissemination multicast), a bare multicast
+// whose receivers decode a heavy slice, the merge of
 // FlatAggregateConvergecastPhase, which holds each child's bytes until the
-// last child reports. Each run stops before a copy the target does not
-// expect reaches it, so a run that returns means the target decoded the
-// mutant and acted on it.
+// last child reports, and the pair merge of FlatPairsConvergecastPhase.
+// Each run stops before a copy the target does not expect reaches it, so a
+// run that returns means the target decoded the mutant and acted on it.
 
 /// Drives `mux`; in round `at`, peer `from` sends `to` the bytes `forged`
 /// tagged for (session 0, `phase`).
@@ -695,6 +696,84 @@ TEST(MutationSweepTest, AggregateMergeYieldsValueOrProtocolError) {
   two_children.add_edge(PeerId(5), PeerId(6));
   sweep("FlatAggregateConvergecastPhase merge (held first)", valid,
         forge_to_peer_1(two_children, /*max_rounds=*/3), rng);
+}
+
+TEST(MutationSweepTest, HeavySliceMulticastYieldsValueOrProtocolError) {
+  constexpr std::uint32_t kFilters = 2;
+  constexpr std::uint32_t kGroups = 8;
+  Rng rng(41);
+  std::vector<Bytes> valid;
+  for (int c = 0; c < 4; ++c) {
+    core::HeavyGroupSet heavy;
+    heavy.heavy.assign(kFilters, std::vector<bool>(kGroups, false));
+    for (auto& bitmap : heavy.heavy) {
+      for (std::size_t j = 0; j < kGroups; ++j) bitmap[j] = rng.below(3) == 0;
+    }
+    valid.push_back(core::encode_heavy_groups(heavy));
+  }
+  const Topology line = line_topology(4);
+  // Line 0-1-2-3 rooted at 0: the honest copy reaches peer 2 in round 2.
+  // Peer 3 forges a copy to peer 2 in round 0, which arrives in round 1;
+  // two rounds end the run once peer 2 has decoded it.
+  sweep("FlatMulticastPhase heavy-slice receipt", valid,
+        [&](std::span<const std::uint8_t> in) {
+          Overlay overlay(line);
+          const agg::Hierarchy hierarchy =
+              agg::build_bfs_hierarchy(overlay, PeerId(0));
+          agg::FlatMulticastPhase mc(
+              hierarchy, TrafficCategory::kDissemination,
+              [](PhaseContext&, std::span<const std::uint8_t> bytes) {
+                (void)core::decode_heavy_groups(bytes, kFilters, kGroups);
+              });
+          mc.set_payload(valid.front(), valid.front().size());
+          SessionMux mux;
+          (void)mux.add_phase(mux.add_session(), mc, kStandaloneBroadcast);
+          InjectingProtocol inject(mux, PeerId(3), PeerId(2), /*phase=*/0,
+                                   /*at=*/0, in);
+          TrafficMeter meter(overlay.num_peers());
+          Engine engine(overlay, meter, {});
+          (void)engine.run(inject, /*max_rounds=*/2);
+          EXPECT_EQ(mc.num_received(), 3u);
+        },
+        rng);
+}
+
+TEST(MutationSweepTest, PairsMergeYieldsValueOrProtocolError) {
+  Rng rng(43);
+  std::vector<Bytes> valid;
+  for (int c = 0; c < 6; ++c) {
+    ValueMap<ItemId, std::uint64_t> map;
+    for (int k = 0; k < 4; ++k) map.add(ItemId(any_width(rng)), any_width(rng));
+    valid.push_back(encode_pairs(map));
+  }
+  const Topology line = line_topology(4);
+  // Line 0-1-2-3: peer 1's only child, peer 2, reports in round 2. Peer 2
+  // forges a copy to peer 1 in round 0, which arrives in round 1 and is
+  // the one peer 1 merges and forwards.
+  sweep("FlatPairsConvergecastPhase merge", valid,
+        [&](std::span<const std::uint8_t> in) {
+          Overlay overlay(line);
+          const agg::Hierarchy hierarchy =
+              agg::build_bfs_hierarchy(overlay, PeerId(0));
+          agg::FlatPairsConvergecastPhase cast(
+              hierarchy, TrafficCategory::kAggregation,
+              [](PeerId p) {
+                agg::FlatPairsConvergecastPhase::Pairs local;
+                local.add(ItemId(p.value()), 1);
+                return local;
+              },
+              /*wire_bytes=*/{});
+          SessionMux mux;
+          (void)mux.add_phase(mux.add_session(), cast,
+                              kStandaloneConvergecast);
+          InjectingProtocol inject(mux, PeerId(2), PeerId(1), /*phase=*/0,
+                                   /*at=*/0, in);
+          TrafficMeter meter(overlay.num_peers());
+          Engine engine(overlay, meter, {});
+          (void)engine.run(inject, /*max_rounds=*/2);
+          EXPECT_GT(cast.sent_bytes(PeerId(1)), 0u);
+        },
+        rng);
 }
 
 }  // namespace

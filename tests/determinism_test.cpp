@@ -6,7 +6,7 @@
 // the same meter charges, and the same protocol results. These tests pin
 // that contract for K ∈ {2, 4, 8} against K = 1, for plain runs and under
 // the adversarial engine features (link loss, latency jitter), and for the
-// full netFilter and gossip-netFilter drivers.
+// full netFilter driver.
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -22,7 +22,6 @@
 #include "agg/multi_hierarchy.h"
 #include "common/arena.h"
 #include "common/hashing.h"
-#include "core/gossip_netfilter.h"
 #include "core/host_report.h"
 #include "core/netfilter.h"
 #include "core/partitioned.h"
@@ -858,43 +857,6 @@ TEST(DeterminismTest, CriticalPathsTerminateAtSessionDone) {
     for (std::size_t i = 0; i < stats.sessions.size(); ++i) {
       EXPECT_EQ(serial_stats.sessions[i].netfilter.rounds_total,
                 stats.sessions[i].netfilter.rounds_total);
-    }
-  }
-}
-
-TEST(DeterminismTest, GossipNetFilterMatchesSerial) {
-  const TestWorld world = TestWorld::make();
-  const Value t = world.workload.threshold_for(0.02);
-
-  const auto run_at = [&](std::uint32_t threads) {
-    core::GossipNetFilterConfig cfg;
-    cfg.num_groups = 32;
-    cfg.num_filters = 2;
-    cfg.phase1_rounds = 30;
-    cfg.phase2_rounds = 30;
-    cfg.threads = threads;
-    const core::GossipNetFilter gnf(cfg);
-    TrafficMeter meter(kPeers);
-    Overlay overlay = world.overlay;
-    core::GossipNetFilterResult r =
-        gnf.run(world.workload, overlay, PeerId(0), meter, t);
-    return std::make_tuple(std::move(r), meter.total(), meter.num_messages());
-  };
-
-  const auto [serial, serial_bytes, serial_msgs] = run_at(1);
-  for (const std::uint32_t k : kShardCounts) {
-    SCOPED_TRACE(::testing::Message() << "threads=" << k);
-    const auto [sharded, bytes, msgs] = run_at(k);
-    EXPECT_EQ(serial_bytes, bytes);
-    EXPECT_EQ(serial_msgs, msgs);
-    EXPECT_EQ(serial.stats.heavy_groups_total, sharded.stats.heavy_groups_total);
-    EXPECT_EQ(serial.stats.rounds, sharded.stats.rounds);
-    ASSERT_EQ(serial.reported.size(), sharded.reported.size());
-    auto it = sharded.reported.begin();
-    for (const auto& [id, v] : serial.reported) {
-      EXPECT_EQ(id, it->first);
-      EXPECT_EQ(v, it->second);
-      ++it;
     }
   }
 }

@@ -13,11 +13,11 @@
 #include <gtest/gtest.h>
 
 #include "agg/convergecast.h"
+#include "agg/flat_phases.h"
 #include "agg/hierarchy.h"
 #include "common/rng.h"
 #include "net/churn.h"
 #include "net/engine.h"
-#include "net/flood.h"
 #include "net/topology.h"
 #include "obs/context.h"
 #include "obs/export.h"
@@ -174,17 +174,18 @@ TEST(LineageTest, LossNeverLeaksUndeliveredNodesIntoPathsOrFlows) {
 }
 
 TEST(LineageTest, ChurnedPeerDropsOutOfCriticalPaths) {
-  // One session, two concurrent phases: a convergecast that gates
-  // completion, and a flood whose copy to the churned leaf is in flight
-  // when the leaf dies. The dropped copy becomes a permanently undelivered
-  // lineage node and must never surface in the gating chain; the chain
-  // still terminates at the session's done() round.
+  // One session, two concurrent phases on one BFS hierarchy: a
+  // convergecast, and a multicast whose copy to the churned leaf is in
+  // flight when the leaf dies. The dropped copy becomes a permanently
+  // undelivered lineage node and must never surface in the gating chain.
+  // The multicast can then never complete, so the session has no done()
+  // round and its chain ends at the session's last delivery.
   Rng rng(23);
   Overlay overlay(net::random_tree(kPeers, 3, rng));
   obs::Context ctx;
 
-  // BFS from the originator: a peer at depth d receives the flood during
-  // iteration d, so its parent's copy is in flight exactly then.
+  // BFS from the root: a peer at depth d receives the multicast in round
+  // d, so its parent's copy is in flight exactly then.
   std::vector<std::uint32_t> depth(kPeers, 0);
   std::vector<PeerId> frontier{PeerId(0)};
   std::vector<bool> seen(kPeers, false);
@@ -221,18 +222,22 @@ TEST(LineageTest, ChurnedPeerDropsOutOfCriticalPaths) {
   (void)mux.add_phase(sid, cast, cast_opts);
 
   std::uint32_t receipts = 0;
-  net::FlatFloodPhase flood(
-      PeerId(0), net::Bytes{7}, 8, TrafficCategory::kDissemination, /*ttl=*/16,
-      [&receipts](net::PhaseContext&, std::span<const std::uint8_t>) {
+  std::vector<bool> reached(kPeers, false);
+  agg::FlatMulticastPhase multicast(
+      hierarchy, TrafficCategory::kDissemination,
+      [&](net::PhaseContext& pctx, std::span<const std::uint8_t>) {
         ++receipts;
+        reached[pctx.self().value()] = true;
       });
-  net::PhaseOptions flood_opts;
-  flood_opts.start = net::PhaseStart::kAllPeers;
-  flood_opts.name = "flood";
-  (void)mux.add_phase(sid, flood, flood_opts);
+  const std::uint8_t payload = 7;
+  multicast.set_payload(std::span<const std::uint8_t>(&payload, 1), 8);
+  net::PhaseOptions multicast_opts;
+  multicast_opts.start = net::PhaseStart::kAllPeers;
+  multicast_opts.name = "multicast";
+  (void)mux.add_phase(sid, multicast, multicast_opts);
 
   // The victim is a deepest leaf: its convergecast contribution is already
-  // delivered at round 1, and the flood copy addressed to it is in flight
+  // delivered at round 1, and the multicast copy addressed to it is in flight
   // when churn (applied at the top of the round, before delivery) kills it
   // — so the network drops that copy and its node stays undelivered.
   net::ChurnSchedule churn;
@@ -243,7 +248,7 @@ TEST(LineageTest, ChurnedPeerDropsOutOfCriticalPaths) {
   (void)engine.run(mux, 100, &churn);
   EXPECT_TRUE(cast.complete());
   EXPECT_GT(receipts, 0u);
-  EXPECT_FALSE(flood.reached(victim));
+  EXPECT_FALSE(reached[victim.value()]);
 
   const LineageRecorder& rec = ctx.lineage;
   std::size_t undelivered = 0;
