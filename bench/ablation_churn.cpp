@@ -3,11 +3,11 @@
 // Fail k random non-root peers simultaneously, run the maintenance
 // protocol, and measure rounds to stabilization and control traffic; then
 // run netFilter on the repaired hierarchy and verify exactness over the
-// survivors. Also exercises the multi-hierarchy answer to root failure.
+// survivors. Also fails the root and rebuilds from a replica root drawn
+// up front, the paper's answer to root failure.
 #include "bench/bench_util.h"
 
 #include "agg/maintenance.h"
-#include "agg/multi_hierarchy.h"
 
 int main(int argc, char** argv) {
   using namespace nf;
@@ -120,10 +120,14 @@ int main(int argc, char** argv) {
     const std::uint32_t n_peers = 200;
     Rng rng(cli.seed);
     net::Overlay overlay(net::random_connected(n_peers, 6.0, rng));
-    const auto mh = agg::MultiHierarchy::build_random(overlay, 3, rng);
-    overlay.fail(mh.primary().root());
-    const agg::Hierarchy usable =
-        agg::build_bfs_hierarchy(overlay, mh.surviving(overlay).root());
+    // Two distinct roots: the primary, which fails, and its replica.
+    std::vector<PeerId> roots;
+    while (roots.size() < 2) {
+      const PeerId cand(static_cast<std::uint32_t>(rng.below(n_peers)));
+      if (roots.empty() || roots[0] != cand) roots.push_back(cand);
+    }
+    overlay.fail(roots[0]);
+    const agg::Hierarchy usable = agg::build_bfs_hierarchy(overlay, roots[1]);
 
     wl::WorkloadConfig wc;
     wc.num_peers = n_peers;

@@ -149,24 +149,6 @@ BENCHMARK(BM_VarintAddAggregates)
     ->Args({3000, 100})
     ->Args({3000, 1000000});
 
-// Raw column add over disjoint rows — what nf::add_columns turns into once
-// the restrict qualification licenses vectorization (partitioned merge,
-// decoded fixed32 rows).
-void BM_ColumnAdd(benchmark::State& state) {
-  Rng rng(11);
-  const auto width = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> acc(width, 0);
-  std::vector<std::uint64_t> src(width);
-  for (auto& v : src) v = rng.below(10000);
-  for (auto _ : state) {
-    add_columns(acc.data(), src.data(), width);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_ColumnAdd)->Arg(300)->Arg(3000);
-
 // One engine run of netFilter's filtering convergecast at its perfbench
 // shape: 4 000 peers on a fanout-3 random tree, f×g = 500 lanes. Each
 // iteration runs a fresh phase on a warmed engine, as every query does:

@@ -18,7 +18,6 @@
 
 #include "agg/root_selection.h"
 #include "core/misra_gries.h"
-#include "core/partitioned.h"
 #include "core/naive.h"
 #include "core/netfilter.h"
 #include "core/topk.h"
@@ -64,7 +63,7 @@ struct Options {
       "query:      --theta=T (threshold ratio, default 0.01)\n"
       "topology:   --topology=tree|er|ws|ba --fanout=B --degree=D\n"
       "            --root=random|stable|center (hierarchy root policy)\n"
-      "algorithm:  --algo=netfilter|naive|approx|partitioned|all\n"
+      "algorithm:  --algo=netfilter|naive|approx|all\n"
       "            --g=G --f=F | --tune (pick G, F by in-network sampling)\n"
       "            --participation=P (stable-peer fraction forming the tree)\n"
       "            --epsilon=E (approx)\n"
@@ -277,23 +276,6 @@ int main(int argc, char** argv) {
         workload, hierarchy, overlay, meter, threshold);
     std::cout << "naive: " << res.frequent.size() << " items, "
               << res.stats.cost_per_peer << " bytes/peer, exact: "
-              << (res.frequent == oracle ? "yes" : "NO") << "\n";
-  }
-
-  if (all || opt.algo == "partitioned") {
-    ran = true;
-    Rng root_rng(opt.seed + 9);
-    const std::uint32_t k = 3;
-    const auto mh =
-        agg::MultiHierarchy::build_random(overlay, k, root_rng);
-    core::NetFilterConfig cfg;
-    cfg.num_groups = g;
-    cfg.num_filters = std::max(f, k);
-    const auto res = core::PartitionedNetFilter(cfg).run(
-        workload, mh, overlay, meter, threshold);
-    std::cout << "partitioned netFilter (k=" << k << " hierarchies): "
-              << res.frequent.size() << " items, "
-              << res.stats.total_cost() << " bytes/peer, exact: "
               << (res.frequent == oracle ? "yes" : "NO") << "\n";
   }
 

@@ -12,15 +12,13 @@
 //   merge(T&, T&&)           combine a child's aggregate into the parent's
 //   wire_bytes(const T&)     modelled serialized size of one message
 //
-// Used with T = std::vector<Value> for partitioned item-group aggregates,
-// T = LocalItems for the naive collector and partitioned candidate
-// aggregation, a Misra–Gries summary, and scalar pairs for the v / N
-// bootstrap aggregates. netFilter's own phases use the flat counterparts
-// (agg/flat_phases.h). This is the last typed hierarchy phase: the naive
-// collector measured about 4× slower on FlatPairsConvergecastPhase (perfbench
-// naive_collect query_ms_p50 262–266 vs 61–64 ms with the branch-free
-// ValueMap merge on both), so the typed path stays until pairs merge
-// straight from the wire.
+// Used with T = LocalItems for the naive collector and with a Misra–Gries
+// summary for the approximate baseline. netFilter's own phases use the
+// flat counterparts (agg/flat_phases.h). This is the last typed hierarchy
+// phase: the naive collector measured about 4× slower on
+// FlatPairsConvergecastPhase (perfbench naive_collect query_ms_p50 262–266
+// vs 61–64 ms with the branch-free ValueMap merge on both), so the typed
+// path stays until pairs merge straight from the wire.
 //
 // ConvergecastPhase is a session-runtime component (net/session.h): it
 // initializes a peer when its phase opens there — so a convergecast can

@@ -10,12 +10,11 @@
 // inside the round loop (tests/steady_alloc_test.cpp).
 //
 // FlatMulticastPhase carries every top-down payload: netFilter's heavy
-// group ids, the partitioned slices, and serve_concurrent's query
-// announcements. Its payload may be set mid-run — the pipelined netFilter
-// only knows the heavy set when filtering completes at the root — and each
-// peer's handler fires the moment the copy reaches it, which is the
-// per-peer trigger that lets the next phase start there without a global
-// barrier.
+// group ids and serve_concurrent's query announcements. Its payload may be
+// set mid-run — the pipelined netFilter only knows the heavy set when
+// filtering completes at the root — and each peer's handler fires the
+// moment the copy reaches it, which is the per-peer trigger that lets the
+// next phase start there without a global barrier.
 //
 // State layout (DESIGN.md §6f): FlatAggregateConvergecastPhase keeps no
 // per-member f×g row. A child's encoded payload is copied, undecoded, into

@@ -133,16 +133,4 @@ class PeerRowArena {
   std::uint32_t width_ = 0;
 };
 
-/// Contiguous column add: acc[i] += src[i] for i < n. The restrict
-/// qualification promises the compiler the two columns never alias —
-/// true for distinct rows or vectors — so it can emit wide vector adds
-/// instead of scalar load/add/store chains. The partitioned protocol's
-/// slice merge uses it; the flat aggregate convergecast decodes varints
-/// straight into `+=` instead (net::add_aggregates_from).
-inline void add_columns(std::uint64_t* __restrict acc,
-                        const std::uint64_t* __restrict src,
-                        std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += src[i];
-}
-
 }  // namespace nf

@@ -44,9 +44,9 @@ TunedSetting tune(const ItemSource& items, const agg::Hierarchy& hierarchy,
   require(theta > 0.0 && theta <= 1.0, "theta must be in (0,1]");
 
   // Bootstrap aggregates for v (and N, which the hierarchy already knows):
-  // each peer contributes a single value (paper §IV). Charged one aggregate
-  // field per non-root member; the full engine-driven version of this pass
-  // lives in agg/bootstrap.h.
+  // each peer contributes a single value (paper §IV). The sum is taken
+  // directly and charged one aggregate field per non-root member, the cost
+  // of one value riding a convergecast up the hierarchy.
   TunedSetting out;
   for (std::uint32_t p = 0; p < items.num_peers(); ++p) {
     const PeerId id(p);

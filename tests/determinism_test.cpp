@@ -19,12 +19,10 @@
 #include "agg/convergecast.h"
 #include "agg/flat_phases.h"
 #include "agg/hierarchy.h"
-#include "agg/multi_hierarchy.h"
 #include "common/arena.h"
 #include "common/hashing.h"
 #include "core/host_report.h"
 #include "core/netfilter.h"
-#include "core/partitioned.h"
 #include "core/query_service.h"
 #include "core/tuner.h"
 #include "net/engine.h"
@@ -673,13 +671,12 @@ TEST(DeterminismTest, ConcurrentSessionsWithDistinctHeavySetsMatchSerial) {
   }
 }
 
-// The multi-hierarchy (partitioned) and sampling (tuner) paths compose the
-// containers nf-lint polices hardest: random root draws, branch walks,
-// Floyd index picks, and per-slice convergecasts. Tuning from branch
-// samples and then running the partitioned filter over randomly replicated
-// hierarchies must give byte-identical results AND byte-identical obs
-// output, serial vs sharded.
-TEST(DeterminismTest, PartitionedMultiHierarchyAndSamplingMatchSerial) {
+// The sampling (tuner) path composes the containers nf-lint polices
+// hardest: branch walks and Floyd index picks. Tuning from branch samples
+// and then running netFilter with the tuned setting over a hierarchy at a
+// randomly drawn root must give byte-identical results AND byte-identical
+// obs output, serial vs sharded.
+TEST(DeterminismTest, TunedNetFilterAndSamplingMatchSerial) {
   const TestWorld world = TestWorld::make();
 
   const auto run_at = [&](std::uint32_t threads) {
@@ -698,14 +695,14 @@ TEST(DeterminismTest, PartitionedMultiHierarchyAndSamplingMatchSerial) {
     core::NetFilterConfig base;
     base.threads = threads;
     base.obs = ctx.get();
-    const core::PartitionedNetFilter pnf(tuned.to_config(base));
+    const core::NetFilter nf(tuned.to_config(base));
 
-    // Multi-hierarchy path: three replicated roots drawn from a fresh RNG.
-    Rng roots_rng(31);
-    const agg::MultiHierarchy hierarchies =
-        agg::MultiHierarchy::build_random(overlay, 3, roots_rng);
-    core::PartitionedResult r =
-        pnf.run(world.workload, hierarchies, overlay, meter, tuned.threshold);
+    // The query hierarchy's root is drawn from a fresh RNG.
+    Rng root_rng(31);
+    const agg::Hierarchy hierarchy = agg::build_bfs_hierarchy(
+        overlay, PeerId(static_cast<std::uint32_t>(root_rng.below(kPeers))));
+    core::NetFilterResult r =
+        nf.run(world.workload, hierarchy, overlay, meter, tuned.threshold);
     return std::make_tuple(std::move(r), tuned, std::move(ctx),
                            meter.total(), meter.num_messages());
   };
@@ -725,7 +722,7 @@ TEST(DeterminismTest, PartitionedMultiHierarchyAndSamplingMatchSerial) {
     EXPECT_EQ(serial_tuned.estimates.r_hat, tuned.estimates.r_hat);
     EXPECT_EQ(serial_bytes, bytes);
     EXPECT_EQ(serial_msgs, msgs);
-    EXPECT_EQ(serial.stats.rounds, sharded.stats.rounds);
+    EXPECT_EQ(serial.stats.rounds_total, sharded.stats.rounds_total);
     EXPECT_EQ(serial.stats.heavy_groups_total, sharded.stats.heavy_groups_total);
     EXPECT_EQ(serial.stats.num_candidates, sharded.stats.num_candidates);
     ASSERT_EQ(serial.frequent.size(), sharded.frequent.size());

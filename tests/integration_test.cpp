@@ -1,10 +1,9 @@
 // End-to-end integration: netFilter running on top of the full substrate
 // stack — overlay churn, hierarchy repair, stable-peer recruitment,
-// multi-hierarchy failover, application scenarios.
+// replica-root failover, application scenarios.
 #include <gtest/gtest.h>
 
 #include "agg/maintenance.h"
-#include "agg/multi_hierarchy.h"
 #include "core/naive.h"
 #include "core/netfilter.h"
 #include "core/tuner.h"
@@ -99,12 +98,12 @@ TEST(IntegrationTest, RepairThenRunStaysExact) {
   EXPECT_EQ(res.frequent, truth);
 }
 
-TEST(IntegrationTest, MultiHierarchyFailoverAfterRootDeath) {
+TEST(IntegrationTest, ReplicaRootFailoverAfterRootDeath) {
+  // Paper §III-A.1: when the root dies, the query restarts from a replica
+  // root chosen in advance.
   Rng rng(3);
   Overlay overlay(net::random_connected(50, 5.0, rng));
   TrafficMeter meter(50);
-  const agg::MultiHierarchy mh =
-      agg::MultiHierarchy::build(overlay, {PeerId(0), PeerId(25)});
 
   wl::WorkloadConfig wc;
   wc.num_peers = 50;
@@ -114,10 +113,10 @@ TEST(IntegrationTest, MultiHierarchyFailoverAfterRootDeath) {
   const Value t = workload.threshold_for(0.01);
 
   overlay.fail(PeerId(0));  // primary root dies
-  const Hierarchy& fallback = mh.surviving(overlay);
-  EXPECT_EQ(fallback.root(), PeerId(25));
-  // Rebuild over alive peers (the dead root is gone from the replica too).
-  const Hierarchy usable = build_bfs_hierarchy(overlay, fallback.root());
+  // Rebuild over alive peers from the replica root.
+  const Hierarchy usable = build_bfs_hierarchy(overlay, PeerId(25));
+  EXPECT_EQ(usable.root(), PeerId(25));
+  EXPECT_FALSE(usable.is_member(PeerId(0)));
 
   LocalItems truth;
   for (std::uint32_t p = 1; p < 50; ++p) {
