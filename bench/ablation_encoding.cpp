@@ -67,21 +67,11 @@ int main(int argc, char** argv) {
   table.row("group aggregates", model_bytes, fixed_bytes, varint_bytes);
 
   // Dissemination: heavy group ids per filter, once per tree edge.
-  core::HeavyGroupSet heavy;
-  heavy.heavy.assign(f, std::vector<bool>(g, false));
-  std::vector<std::uint64_t> heavy_ids;
-  for (std::uint32_t i = 0; i < f; ++i) {
-    for (std::uint32_t j = 0; j < g; ++j) {
-      if (global[static_cast<std::size_t>(i) * g + j] >= t) {
-        heavy.heavy[i][j] = true;
-        heavy_ids.push_back(std::uint64_t{i} * g + j);
-      }
-    }
-  }
+  const core::HeavyGroupSet heavy(global, f, g, t);
   const std::uint64_t edges = env.hierarchy.num_members() - 1;
-  const auto heavy_encoded = net::encode_sorted_ids(heavy_ids).size();
-  table.row("heavy group ids", 4 * heavy_ids.size() * edges,
-            (4 * heavy_ids.size() + 1) * edges, heavy_encoded * edges);
+  const auto heavy_encoded = core::encode_heavy_groups(heavy).size();
+  table.row("heavy group ids", 4 * heavy.total() * edges,
+            (4 * heavy.total() + 1) * edges, heavy_encoded * edges);
 
   // Phase 2 / naive messages: candidate pairs and full local sets.
   std::uint64_t cand_model = 0, cand_fixed = 0, cand_varint = 0;
@@ -113,7 +103,7 @@ int main(int argc, char** argv) {
   table.row("naive item sets", naive_model, naive_fixed, naive_varint);
 
   const double nf_model = static_cast<double>(
-      model_bytes + 4 * heavy_ids.size() * edges + cand_model);
+      model_bytes + 4 * heavy.total() * edges + cand_model);
   const double nf_varint = static_cast<double>(
       varint_bytes + heavy_encoded * edges + cand_varint);
   std::cout << "# netFilter/naive ratio under paper model: "

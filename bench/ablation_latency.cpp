@@ -64,13 +64,7 @@ int main(int argc, char** argv) {
         table.row(max_delay, loss, "stall", 0.0, "NO");
         continue;
       }
-      core::HeavyGroupSet heavy;
-      heavy.heavy.assign(3, std::vector<bool>(100, false));
-      for (std::uint32_t i = 0; i < 3; ++i) {
-        for (std::uint32_t j = 0; j < 100; ++j) {
-          heavy.heavy[i][j] = phase1.result()[i * 100 + j] >= t;
-        }
-      }
+      const core::HeavyGroupSet heavy(phase1.result(), 3, 100, t);
       agg::ConvergecastPhase<LocalItems> phase2(
           env.hierarchy, net::TrafficCategory::kAggregation,
           [&](PeerId p) {

@@ -112,6 +112,44 @@ void BM_LocalGroupAggregates(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalGroupAggregates)->Arg(1)->Arg(3)->Arg(5);
 
+// Phase-2 candidate materialization at its perfbench shape: f = 5, g = 100,
+// local sets of ~192 items (4 000 peers, 10^5 items, 10 instances each).
+// Arg: percent of each filter's groups that are heavy (perfbench's filters
+// keep 16-30 %), drawn at random so the heavy bits carry no pattern.
+void BM_MaterializeCandidates(benchmark::State& state) {
+  wl::WorkloadConfig wc;
+  wc.num_peers = 4000;
+  wc.num_items = 100000;
+  const auto workload = wl::Workload::generate(wc);
+  core::NetFilterConfig cfg;
+  cfg.num_groups = 100;
+  cfg.num_filters = 5;
+  const core::NetFilter nf(cfg);
+  Rng rng(23);
+  core::HeavyGroupSet heavy(cfg.num_filters, cfg.num_groups);
+  for (std::uint32_t i = 0; i < cfg.num_filters; ++i) {
+    for (std::uint32_t j = 0; j < cfg.num_groups; ++j) {
+      if (rng.below(100) < static_cast<std::uint64_t>(state.range(0))) {
+        heavy.set(i, j);
+      }
+    }
+  }
+  constexpr std::uint32_t kPeers = 64;
+  std::int64_t items = 0;
+  for (std::uint32_t p = 0; p < kPeers; ++p) {
+    items += static_cast<std::int64_t>(workload.local_items(PeerId(p)).size());
+  }
+  for (auto _ : state) {
+    for (std::uint32_t p = 0; p < kPeers; ++p) {
+      benchmark::DoNotOptimize(
+          nf.materialize_candidates(workload.local_items(PeerId(p)), heavy));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          items);
+}
+BENCHMARK(BM_MaterializeCandidates)->Arg(16)->Arg(30);
+
 void BM_VarintEncodeAggregates(benchmark::State& state) {
   Rng rng(9);
   std::vector<Value> values(static_cast<std::size_t>(state.range(0)));

@@ -102,15 +102,7 @@ net::PhaseId IfiSessionPhases::register_phases(
 void IfiSessionPhases::finish_filtering(net::PhaseContext& ctx,
                                         std::span<const Value> global) {
   const NetFilterConfig& cfg = netfilter_.config();
-  const std::uint32_t f = cfg.num_filters;
-  const std::uint32_t g = cfg.num_groups;
-  heavy_.heavy.assign(f, std::vector<bool>(g, false));
-  for (std::uint32_t i = 0; i < f; ++i) {
-    for (std::uint32_t j = 0; j < g; ++j) {
-      heavy_.heavy[i][j] =
-          global[static_cast<std::size_t>(i) * g + j] >= threshold_;
-    }
-  }
+  heavy_ = HeavyGroupSet(global, cfg.num_filters, cfg.num_groups, threshold_);
   filtering_rounds_ = ctx.round() + 1;
   obs::add_counter(obs_, "netfilter/heavy_groups", heavy_.total());
 

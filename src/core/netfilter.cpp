@@ -1,6 +1,9 @@
 #include "core/netfilter.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <utility>
 
 #include "agg/flat_phases.h"
@@ -16,6 +19,10 @@
 namespace nf::core {
 
 namespace {
+
+/// Items per stack chunk of materialize_candidates: perfbench's ~192 and
+/// fig7's ~100 local items take one chunk.
+constexpr std::size_t kMaterializeChunk = 1024;
 
 double per_peer(std::uint64_t bytes, std::uint32_t num_peers) {
   return static_cast<double>(bytes) / static_cast<double>(num_peers);
@@ -99,30 +106,56 @@ void record_netfilter_conformance(const NetFilterConfig& config,
   }
 }
 
-std::uint64_t HeavyGroupSet::total() const {
-  std::uint64_t t = 0;
-  for (const auto& bitmap : heavy) {
-    t += static_cast<std::uint64_t>(
-        std::count(bitmap.begin(), bitmap.end(), true));
+HeavyGroupSet::HeavyGroupSet(std::uint32_t num_filters,
+                             std::uint32_t num_groups)
+    : num_filters_(num_filters),
+      num_groups_(num_groups),
+      words_per_row_((num_groups + 63) / 64),
+      words_(std::size_t{num_filters} * words_per_row_, 0) {}
+
+HeavyGroupSet::HeavyGroupSet(std::span<const Value> global,
+                             std::uint32_t num_filters,
+                             std::uint32_t num_groups, Value threshold)
+    : HeavyGroupSet(num_filters, num_groups) {
+  require(global.size() == std::size_t{num_filters} * num_groups,
+          "global aggregates are not f*g wide");
+  for (std::uint32_t i = 0; i < num_filters; ++i) {
+    const Value* row = global.data() + std::size_t{i} * num_groups;
+    std::uint64_t* bits = words_.data() + std::size_t{i} * words_per_row_;
+    for (std::uint32_t j = 0; j < num_groups; ++j) {
+      bits[j / 64] |= std::uint64_t{row[j] >= threshold} << (j % 64);
+    }
   }
-  return t;
 }
 
-bool HeavyGroupSet::matches(const FilterBank& bank) const {
-  if (heavy.size() != bank.num_filters()) return false;
-  return std::all_of(heavy.begin(), heavy.end(),
-                     [g = bank.num_groups()](const std::vector<bool>& row) {
-                       return row.size() == g;
-                     });
+void HeavyGroupSet::set(std::uint32_t filter, std::uint32_t group) {
+  require(filter < num_filters_ && group < num_groups_,
+          "heavy group out of range");
+  words_[std::size_t{filter} * words_per_row_ + group / 64] |=
+      std::uint64_t{1} << (group % 64);
+}
+
+std::uint64_t HeavyGroupSet::total() const {
+  std::uint64_t t = 0;
+  for (const std::uint64_t word : words_) {
+    t += static_cast<std::uint64_t>(std::popcount(word));
+  }
+  return t;
 }
 
 net::Bytes encode_heavy_groups(const HeavyGroupSet& heavy) {
   std::vector<std::uint64_t> ids;
   ids.reserve(heavy.total());
-  for (std::size_t i = 0; i < heavy.heavy.size(); ++i) {
-    const std::vector<bool>& bitmap = heavy.heavy[i];
-    for (std::size_t j = 0; j < bitmap.size(); ++j) {
-      if (bitmap[j]) ids.push_back(i * bitmap.size() + j);
+  const std::uint32_t g = heavy.num_groups_;
+  const std::uint32_t words = heavy.words_per_row_;
+  for (std::uint32_t i = 0; i < heavy.num_filters_; ++i) {
+    for (std::uint32_t w = 0; w < words; ++w) {
+      const std::uint64_t base = std::uint64_t{i} * g + std::uint64_t{w} * 64;
+      for (std::uint64_t word = heavy.words_[std::size_t{i} * words + w];
+           word != 0; word &= word - 1) {
+        ids.push_back(base +
+                      static_cast<std::uint64_t>(std::countr_zero(word)));
+      }
     }
   }
   return net::encode_sorted_ids(ids);
@@ -131,13 +164,14 @@ net::Bytes encode_heavy_groups(const HeavyGroupSet& heavy) {
 HeavyGroupSet decode_heavy_groups(std::span<const std::uint8_t> in,
                                   std::uint32_t num_filters,
                                   std::uint32_t num_groups) {
-  HeavyGroupSet out;
-  out.heavy.assign(num_filters, std::vector<bool>(num_groups, false));
+  HeavyGroupSet out(num_filters, num_groups);
+  const std::uint64_t num_ids = std::uint64_t{num_filters} * num_groups;
   for (const std::uint64_t id : net::decode_sorted_ids(in)) {
+    ensure(id < num_ids, "heavy group id out of filter range");
     const std::uint64_t i = id / num_groups;
     const std::uint64_t j = id % num_groups;
-    ensure(i < num_filters, "heavy group id out of filter range");
-    out.heavy[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] = true;
+    out.words_[static_cast<std::size_t>(i * out.words_per_row_ + j / 64)] |=
+        std::uint64_t{1} << (j % 64);
   }
   return out;
 }
@@ -207,12 +241,43 @@ void NetFilter::local_group_aggregates_into(const LocalItems& items,
   }
 }
 
+// A branch-free cascade, chunk by chunk so the survivors' offsets fit one
+// stack buffer. Filter 0 writes every offset and advances the cursor by the
+// item's heavy bit, so no per-item branch can mispredict; each later filter
+// compacts the survivors of the one before in place, and most items fail
+// early (70-95 % fail filter 0 on perfbench's data). The survivors keep
+// the local set's order, so the result is built by appending them, with no
+// sort. The first chunk reserves the map exactly; up to kMaterializeChunk
+// local items it is the only one.
 LocalItems NetFilter::materialize_candidates(const LocalItems& items,
                                              const HeavyGroupSet& heavy) const {
   require(heavy.matches(bank_), "heavy group set does not match the bank");
+  const std::span<const LocalItems::value_type> pairs(items.begin(),
+                                                      items.end());
+  const std::span<const GroupHash> filters = bank_.filters();
   LocalItems out;
-  for (const auto& [id, value] : items) {
-    if (heavy.passes(id, bank_)) out.add(id, value);  // ascending: appends
+  std::array<std::uint32_t, kMaterializeChunk> keep;  // written before read
+  for (std::size_t base = 0; base < pairs.size(); base += keep.size()) {
+    const std::span<const LocalItems::value_type> chunk = pairs.subspan(
+        base, std::min(keep.size(), pairs.size() - base));
+    std::size_t n = 0;
+    for (std::size_t k = 0; k < chunk.size(); ++k) {
+      keep[n] = static_cast<std::uint32_t>(k);
+      n += heavy.is_heavy(0, filters[0].group_of(chunk[k].first).value());
+    }
+    for (std::uint32_t i = 1; i < filters.size() && n > 0; ++i) {
+      std::size_t m = 0;
+      for (std::size_t s = 0; s < n; ++s) {
+        const std::uint32_t k = keep[s];
+        keep[m] = k;
+        m += heavy.is_heavy(i, filters[i].group_of(chunk[k].first).value());
+      }
+      n = m;
+    }
+    if (base == 0) out.reserve(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      out.add(chunk[keep[s]].first, chunk[keep[s]].second);  // ascending
+    }
   }
   return out;
 }
@@ -253,15 +318,7 @@ HeavyGroupSet NetFilter::filter_candidates(const ItemSource& items,
                      config_.max_rounds_per_phase, config_.obs);
   ensure(cast.complete(), "candidate filtering did not complete");
 
-  const std::span<const Value> global = cast.result();
-  HeavyGroupSet heavy;
-  heavy.heavy.assign(f, std::vector<bool>(g, false));
-  for (std::uint32_t i = 0; i < f; ++i) {
-    for (std::uint32_t j = 0; j < g; ++j) {
-      heavy.heavy[i][j] =
-          global[static_cast<std::size_t>(i) * g + j] >= threshold;
-    }
-  }
+  const HeavyGroupSet heavy(cast.result(), f, g, threshold);
 
   if (stats != nullptr) {
     stats->threshold = threshold;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -30,26 +31,70 @@
 
 namespace nf::core {
 
-/// The heavy item groups that survive phase 1: one bitmap per filter.
-struct HeavyGroupSet {
-  std::vector<std::vector<bool>> heavy;  ///< [filter][group]
+/// The heavy item groups that survive phase 1, packed into one bitmap: f
+/// rows of ⌈g/64⌉ words in a single vector, filter-major, so group j of
+/// filter i is bit j % 64 of word i·⌈g/64⌉ + j / 64. The bits past g in a
+/// row's last word are always zero, so total() and the wire encoding read
+/// whole words. A default-constructed set is 0×0 and matches no bank.
+class HeavyGroupSet {
+ public:
+  HeavyGroupSet() = default;
+
+  /// An f×g set with every group light.
+  HeavyGroupSet(std::uint32_t num_filters, std::uint32_t num_groups);
+
+  /// Phase 1's thresholding: group j of filter i is heavy iff its global
+  /// aggregate global[i*g + j] is >= threshold. Throws InvalidArgument if
+  /// `global` is not f*g wide.
+  HeavyGroupSet(std::span<const Value> global, std::uint32_t num_filters,
+                std::uint32_t num_groups, Value threshold);
+
+  [[nodiscard]] std::uint32_t num_filters() const { return num_filters_; }
+  [[nodiscard]] std::uint32_t num_groups() const { return num_groups_; }
+
+  /// Unchecked: requires filter < num_filters() and group < num_groups().
+  [[nodiscard]] bool is_heavy(std::uint32_t filter,
+                              std::uint32_t group) const {
+    const std::uint64_t word =
+        words_[std::size_t{filter} * words_per_row_ + group / 64];
+    return ((word >> (group % 64)) & 1U) != 0;
+  }
+
+  /// Marks a group heavy. Throws InvalidArgument if it is out of range.
+  void set(std::uint32_t filter, std::uint32_t group);
 
   /// Σ_f w_f — total heavy groups across filters (what Fig 5(a)/6(a) plot).
   [[nodiscard]] std::uint64_t total() const;
 
-  /// True iff the set has one row per filter of `bank`, each g groups
-  /// wide: the shape passes() reads.
-  [[nodiscard]] bool matches(const FilterBank& bank) const;
+  /// True iff the set is f×g for the f and g of `bank`: the shape passes()
+  /// reads.
+  [[nodiscard]] bool matches(const FilterBank& bank) const {
+    return num_filters_ == bank.num_filters() &&
+           num_groups_ == bank.num_groups();
+  }
 
   /// True iff every one of the item's f groups is heavy. Requires
   /// matches(bank), which callers check once per item set, not per item.
   [[nodiscard]] bool passes(ItemId item, const FilterBank& bank) const {
-    const std::vector<bool>* row = heavy.data();
+    std::uint32_t i = 0;
     for (const GroupHash& filter : bank.filters()) {
-      if (!(*row++)[filter.group_of(item).value()]) return false;
+      if (!is_heavy(i++, filter.group_of(item).value())) return false;
     }
     return true;
   }
+
+  friend bool operator==(const HeavyGroupSet&, const HeavyGroupSet&) = default;
+
+ private:
+  friend net::Bytes encode_heavy_groups(const HeavyGroupSet& heavy);
+  friend HeavyGroupSet decode_heavy_groups(std::span<const std::uint8_t> in,
+                                           std::uint32_t num_filters,
+                                           std::uint32_t num_groups);
+
+  std::uint32_t num_filters_ = 0;
+  std::uint32_t num_groups_ = 0;
+  std::uint32_t words_per_row_ = 0;  ///< ⌈g/64⌉
+  std::vector<std::uint64_t> words_;  ///< f rows of words_per_row_ words
 };
 
 /// Which heavy set each peer received in phase 2 (Algorithm 2, line 2),
@@ -175,9 +220,11 @@ class NetFilter {
                                    std::span<Value> out) const;
 
   /// The candidates visible in one local item set given the heavy bitmap —
-  /// what each peer materializes in phase 2 (Algorithm 2, line 2): only the
-  /// passing pairs, appended in the local set's sorted order. Both phase-2
-  /// paths build each peer's aggregation accumulator with it. Throws
+  /// what each peer materializes in phase 2 (Algorithm 2, line 2): exactly
+  /// the pairs that passes() keeps, in the local set's sorted order. Both
+  /// phase-2 paths build each peer's aggregation accumulator with it. A
+  /// branch-free cascade: filter 0 tests every item, each later filter only
+  /// the survivors of the one before (see DESIGN.md §6f). Throws
   /// InvalidArgument if `heavy` does not match the bank's f×g shape.
   [[nodiscard]] LocalItems materialize_candidates(
       const LocalItems& items, const HeavyGroupSet& heavy) const;
@@ -204,7 +251,9 @@ class NetFilter {
 /// Wire form of a heavy-group bitmap: the set bits flattened to sorted ids
 /// (filter-major, i*g + group) and delta-coded (net::encode_sorted_ids).
 /// This is what the flat dissemination multicast ships; the flat-field cost
-/// model still charges total() * group_id_bytes per message.
+/// model still charges total() * group_id_bytes per message. Both directions
+/// walk the packed words directly. Decoding throws ProtocolError on bytes
+/// that are not a valid id list or that name an id past f*g.
 [[nodiscard]] net::Bytes encode_heavy_groups(const HeavyGroupSet& heavy);
 [[nodiscard]] HeavyGroupSet decode_heavy_groups(
     std::span<const std::uint8_t> in, std::uint32_t num_filters,

@@ -430,11 +430,10 @@ TEST(MutationSweepTest, HeavyGroupDecoderYieldsValueOrProtocolError) {
   constexpr std::uint32_t kGroups = 50;
   std::vector<Bytes> valid;
   for (int c = 0; c < 12; ++c) {
-    core::HeavyGroupSet heavy;
-    heavy.heavy.assign(kFilters, std::vector<bool>(kGroups, false));
-    for (auto& bitmap : heavy.heavy) {
-      for (std::size_t j = 0; j < kGroups; ++j) {
-        bitmap[j] = rng.below(5) == 0;
+    core::HeavyGroupSet heavy(kFilters, kGroups);
+    for (std::uint32_t i = 0; i < kFilters; ++i) {
+      for (std::uint32_t j = 0; j < kGroups; ++j) {
+        if (rng.below(5) == 0) heavy.set(i, j);
       }
     }
     valid.push_back(core::encode_heavy_groups(heavy));
@@ -590,12 +589,11 @@ struct HeavyReceiptRig {
 std::vector<Bytes> heavy_payloads(HeavyReceiptRig& rig, Rng& rng) {
   std::vector<Bytes> valid{rig.honest_payload()};
   for (int c = 0; c < 3; ++c) {
-    core::HeavyGroupSet heavy;
-    heavy.heavy.assign(HeavyReceiptRig::kFilters,
-                       std::vector<bool>(HeavyReceiptRig::kGroups, false));
-    for (auto& bitmap : heavy.heavy) {
-      for (std::size_t j = 0; j < bitmap.size(); ++j) {
-        bitmap[j] = rng.below(3) == 0;
+    core::HeavyGroupSet heavy(HeavyReceiptRig::kFilters,
+                              HeavyReceiptRig::kGroups);
+    for (std::uint32_t i = 0; i < HeavyReceiptRig::kFilters; ++i) {
+      for (std::uint32_t j = 0; j < HeavyReceiptRig::kGroups; ++j) {
+        if (rng.below(3) == 0) heavy.set(i, j);
       }
     }
     valid.push_back(core::encode_heavy_groups(heavy));
@@ -704,10 +702,11 @@ TEST(MutationSweepTest, HeavySliceMulticastYieldsValueOrProtocolError) {
   Rng rng(41);
   std::vector<Bytes> valid;
   for (int c = 0; c < 4; ++c) {
-    core::HeavyGroupSet heavy;
-    heavy.heavy.assign(kFilters, std::vector<bool>(kGroups, false));
-    for (auto& bitmap : heavy.heavy) {
-      for (std::size_t j = 0; j < kGroups; ++j) bitmap[j] = rng.below(3) == 0;
+    core::HeavyGroupSet heavy(kFilters, kGroups);
+    for (std::uint32_t i = 0; i < kFilters; ++i) {
+      for (std::uint32_t j = 0; j < kGroups; ++j) {
+        if (rng.below(3) == 0) heavy.set(i, j);
+      }
     }
     valid.push_back(core::encode_heavy_groups(heavy));
   }

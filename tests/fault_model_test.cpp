@@ -97,13 +97,7 @@ TEST(FaultModelTest, NetFilterStaysExactOverLossyLinks) {
   run_phase(engine, phase1, kStandaloneConvergecast, 5000);
   ASSERT_TRUE(phase1.complete());
 
-  core::HeavyGroupSet heavy;
-  heavy.heavy.assign(2, std::vector<bool>(32, false));
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    for (std::uint32_t j = 0; j < 32; ++j) {
-      heavy.heavy[i][j] = phase1.result()[i * 32 + j] >= t;
-    }
-  }
+  const core::HeavyGroupSet heavy(phase1.result(), 2, 32, t);
   agg::ConvergecastPhase<LocalItems> phase2(
       h, TrafficCategory::kAggregation,
       [&](PeerId p) {

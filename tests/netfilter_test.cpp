@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <initializer_list>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -16,6 +19,22 @@ namespace {
 using net::Overlay;
 using net::TrafficCategory;
 using net::TrafficMeter;
+
+/// An f×g set whose heavy groups are the flat ids i*g + group in `ids`.
+HeavyGroupSet heavy_set(std::uint32_t f, std::uint32_t g,
+                        std::initializer_list<std::uint32_t> ids) {
+  HeavyGroupSet h(f, g);
+  for (const std::uint32_t id : ids) h.set(id / g, id % g);
+  return h;
+}
+
+HeavyGroupSet all_heavy(std::uint32_t f, std::uint32_t g) {
+  HeavyGroupSet h(f, g);
+  for (std::uint32_t i = 0; i < f; ++i) {
+    for (std::uint32_t j = 0; j < g; ++j) h.set(i, j);
+  }
+  return h;
+}
 
 struct Rig {
   Rig(std::uint32_t num_peers, std::uint64_t num_items, double alpha,
@@ -220,9 +239,9 @@ TEST(NetFilterTest, LocalGroupAggregatesPreserveMass) {
 TEST(NetFilterTest, MaterializeCandidatesHonorsAllFilters) {
   Rig rig(20, 1000, 1.0, 21);
   const NetFilter nf(config(8, 2));
-  HeavyGroupSet heavy;
-  heavy.heavy = {std::vector<bool>(8, false), std::vector<bool>(8, true)};
-  heavy.heavy[0][3] = true;  // filter 0 admits only group 3
+  // Filter 0 admits only group 3, filter 1 every group.
+  const HeavyGroupSet heavy =
+      heavy_set(2, 8, {3, 8, 9, 10, 11, 12, 13, 14, 15});
   const auto& items = rig.workload.local_items(PeerId(5));
   const LocalItems cands = nf.materialize_candidates(items, heavy);
   for (const auto& [id, v] : cands) {
@@ -235,7 +254,7 @@ TEST(NetFilterTest, MaterializeCandidatesHonorsAllFilters) {
 }
 
 TEST(NetFilterTest, MaterializeRejectsMismatchedHeavySet) {
-  // passes() reads heavy[i][group] for every filter of the bank; a set of
+  // passes() reads bit (i, group) for every filter of the bank; a set of
   // another shape would be an out-of-bounds read, so the materializer
   // checks the shape once per call. The receipts that hand both phase-2
   // paths their sets decode what a peer received to the bank's shape, or
@@ -243,14 +262,12 @@ TEST(NetFilterTest, MaterializeRejectsMismatchedHeavySet) {
   Rig rig(20, 1000, 1.0, 21);
   const NetFilter nf(config(8, 2));
   const auto& items = rig.workload.local_items(PeerId(5));
-  HeavyGroupSet too_few_rows;
-  too_few_rows.heavy = {std::vector<bool>(8, true)};
-  HeavyGroupSet short_row;
-  short_row.heavy = {std::vector<bool>(8, true), std::vector<bool>(3, true)};
-  HeavyGroupSet too_many_rows;
-  too_many_rows.heavy.assign(3, std::vector<bool>(8, true));
-  for (const HeavyGroupSet* bad : {&too_few_rows, &short_row,
-                                   &too_many_rows}) {
+  const HeavyGroupSet too_few_rows = all_heavy(1, 8);
+  const HeavyGroupSet short_rows = all_heavy(2, 3);
+  const HeavyGroupSet too_many_rows = all_heavy(3, 8);
+  const HeavyGroupSet unsized;
+  for (const HeavyGroupSet* bad : {&too_few_rows, &short_rows,
+                                   &too_many_rows, &unsized}) {
     EXPECT_FALSE(bad->matches(nf.bank()));
     EXPECT_THROW((void)nf.materialize_candidates(items, *bad),
                  InvalidArgument);
@@ -261,8 +278,7 @@ TEST(NetFilterTest, MaterializeRejectsMismatchedHeavySet) {
   // Ids past f*g name a filter the bank does not have.
   EXPECT_THROW(receipts.receive(PeerId(7), encode_heavy_groups(too_many_rows)),
                ProtocolError);
-  HeavyGroupSet good;
-  good.heavy.assign(2, std::vector<bool>(8, true));
+  const HeavyGroupSet good = all_heavy(2, 8);
   EXPECT_TRUE(good.matches(nf.bank()));
   EXPECT_EQ(nf.materialize_candidates(items, good), items);
 }
@@ -273,11 +289,10 @@ TEST(NetFilterTest, MaterializeAppendsExactlyThePassingPairs) {
   const NetFilter nf(config(16, 3));
   Rng rng(4);
   for (int c = 0; c < 8; ++c) {
-    HeavyGroupSet heavy;
-    heavy.heavy.assign(3, std::vector<bool>(16, false));
-    for (auto& bitmap : heavy.heavy) {
-      for (std::size_t j = 0; j < bitmap.size(); ++j) {
-        bitmap[j] = rng.below(4) != 0;
+    HeavyGroupSet heavy(3, 16);
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      for (std::uint32_t j = 0; j < 16; ++j) {
+        if (rng.below(4) != 0) heavy.set(i, j);
       }
     }
     for (std::uint32_t p = 0; p < 20; ++p) {
@@ -291,12 +306,121 @@ TEST(NetFilterTest, MaterializeAppendsExactlyThePassingPairs) {
   }
 }
 
-HeavyGroupSet heavy_set(std::uint32_t f, std::uint32_t g,
-                        std::initializer_list<std::uint32_t> ids) {
-  HeavyGroupSet h;
-  h.heavy.assign(f, std::vector<bool>(g, false));
-  for (const std::uint32_t id : ids) h.heavy[id / g][id % g] = true;
+/// An f×g set whose groups are each heavy with probability `density`.
+HeavyGroupSet random_heavy(std::uint32_t f, std::uint32_t g, double density,
+                           Rng& rng) {
+  HeavyGroupSet h(f, g);
+  for (std::uint32_t i = 0; i < f; ++i) {
+    for (std::uint32_t j = 0; j < g; ++j) {
+      if (rng.chance(density)) h.set(i, j);
+    }
+  }
   return h;
+}
+
+/// `n` distinct random ids with random values.
+LocalItems random_items(std::size_t n, Rng& rng) {
+  std::vector<LocalItems::value_type> pairs;
+  for (std::size_t k = 0; k < n; ++k) {
+    pairs.emplace_back(ItemId(rng()), 1 + rng.below(1000));
+  }
+  return LocalItems::from_unsorted(std::move(pairs));
+}
+
+TEST(NetFilterTest, MaterializeEqualsThePerItemDefinition) {
+  // The cascade against the definition it replaces: keep exactly the items
+  // for which passes() holds, in map order. Shapes cover one word per row
+  // (g <= 64), a row's padding bits (g = 1, 63, 65, 100, 1000), local sets
+  // that span several of the cascade's chunks, and the degenerate sets.
+  Rng rng(2026);
+  for (const std::uint32_t f : {1u, 2u, 5u, 10u}) {
+    for (const std::uint32_t g : {1u, 63u, 64u, 65u, 100u, 1000u}) {
+      const NetFilter nf(config(g, f));
+      for (const double density : {0.0, 0.2, 0.5, 0.9, 1.0}) {
+        const HeavyGroupSet heavy = random_heavy(f, g, density, rng);
+        for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{192}, std::size_t{2500}}) {
+          const LocalItems items = random_items(n, rng);
+          LocalItems expected;
+          for (const auto& [id, v] : items) {
+            if (heavy.passes(id, nf.bank())) expected.add(id, v);
+          }
+          const LocalItems got = nf.materialize_candidates(items, heavy);
+          EXPECT_EQ(got, expected) << "f=" << f << " g=" << g
+                                   << " density=" << density << " n=" << n;
+          if (density == 0.0) {
+            EXPECT_TRUE(got.empty());
+          }
+          if (density == 1.0) {
+            EXPECT_EQ(got, items);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HeavyGroupSetTest, TotalCountsNoPaddingBits) {
+  // Rows of g groups take ⌈g/64⌉ words; the bits past g must never count.
+  for (const std::uint32_t g : {1u, 63u, 64u, 65u, 100u, 1000u}) {
+    const HeavyGroupSet all = all_heavy(3, g);
+    EXPECT_EQ(all.total(), 3u * g) << "g=" << g;
+    EXPECT_EQ(HeavyGroupSet(3, g).total(), 0u);
+    // Thresholding sets the same bits as set() and nothing past g.
+    const std::vector<Value> global(std::size_t{3} * g, 5);
+    EXPECT_EQ(HeavyGroupSet(global, 3, g, 5), all) << "g=" << g;
+    EXPECT_EQ(HeavyGroupSet(global, 3, g, 6).total(), 0u);
+  }
+  const HeavyGroupSet last = heavy_set(2, 65, {64, 129});
+  EXPECT_EQ(last.total(), 2u);
+  EXPECT_TRUE(last.is_heavy(0, 64));
+  EXPECT_TRUE(last.is_heavy(1, 64));
+  EXPECT_FALSE(last.is_heavy(1, 0));
+  HeavyGroupSet h(2, 65);
+  EXPECT_THROW(h.set(2, 0), InvalidArgument);
+  EXPECT_THROW(h.set(0, 65), InvalidArgument);
+  EXPECT_THROW(HeavyGroupSet(std::vector<Value>(10, 1), 2, 4, 1),
+               InvalidArgument);
+}
+
+TEST(HeavyGroupSetTest, ThresholdingMatchesTheDefinition) {
+  Rng rng(7);
+  for (const std::uint32_t g : {1u, 63u, 64u, 65u, 100u}) {
+    std::vector<Value> global(std::size_t{4} * g);
+    for (Value& v : global) v = rng.below(20);
+    const HeavyGroupSet heavy(global, 4, g, 10);
+    std::uint64_t expected_total = 0;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      for (std::uint32_t j = 0; j < g; ++j) {
+        const bool expect = global[std::size_t{i} * g + j] >= 10;
+        expected_total += expect ? 1 : 0;
+        EXPECT_EQ(heavy.is_heavy(i, j), expect) << i << "," << j;
+      }
+    }
+    EXPECT_EQ(heavy.total(), expected_total);
+  }
+}
+
+TEST(HeavyGroupSetTest, EncodeDecodeRoundTripsExactly) {
+  Rng rng(11);
+  for (const std::uint32_t f : {1u, 2u, 5u, 10u}) {
+    for (const std::uint32_t g : {1u, 63u, 64u, 65u, 100u, 1000u}) {
+      for (const double density : {0.0, 0.1, 0.5, 1.0}) {
+        const HeavyGroupSet heavy = random_heavy(f, g, density, rng);
+        const net::Bytes encoded = encode_heavy_groups(heavy);
+        EXPECT_EQ(decode_heavy_groups(encoded, f, g), heavy)
+            << "f=" << f << " g=" << g << " density=" << density;
+        // The wire form is the sorted flat ids i*g + group.
+        std::vector<std::uint64_t> ids;
+        for (std::uint32_t i = 0; i < f; ++i) {
+          for (std::uint32_t j = 0; j < g; ++j) {
+            if (heavy.is_heavy(i, j)) ids.push_back(std::uint64_t{i} * g + j);
+          }
+        }
+        EXPECT_EQ(encoded, net::encode_sorted_ids(ids));
+      }
+    }
+  }
 }
 
 TEST(HeavySetReceiptsTest, InstalledBytesShareOneDecodedSet) {
@@ -305,7 +429,7 @@ TEST(HeavySetReceiptsTest, InstalledBytesShareOneDecodedSet) {
   HeavySetReceipts receipts(4, 2, 8);
   receipts.install(encoded);
   for (std::uint32_t p = 0; p < 4; ++p) receipts.receive(PeerId(p), encoded);
-  EXPECT_EQ(receipts.of(PeerId(0)).heavy, set.heavy);
+  EXPECT_EQ(receipts.of(PeerId(0)), set);
   for (std::uint32_t p = 1; p < 4; ++p) {
     EXPECT_EQ(&receipts.of(PeerId(p)), &receipts.of(PeerId(0)));
   }
@@ -320,9 +444,9 @@ TEST(HeavySetReceiptsTest, OtherBytesAreDecodedForTheirPeerOnly) {
   receipts.install(encode_heavy_groups(installed));
   receipts.receive(PeerId(1), encode_heavy_groups(installed));
   receipts.receive(PeerId(2), encode_heavy_groups(other));
-  EXPECT_EQ(receipts.of(PeerId(0)).heavy, other.heavy);
-  EXPECT_EQ(receipts.of(PeerId(1)).heavy, installed.heavy);
-  EXPECT_EQ(receipts.of(PeerId(2)).heavy, other.heavy);
+  EXPECT_EQ(receipts.of(PeerId(0)), other);
+  EXPECT_EQ(receipts.of(PeerId(1)), installed);
+  EXPECT_EQ(receipts.of(PeerId(2)), other);
   EXPECT_NE(&receipts.of(PeerId(2)), &receipts.of(PeerId(1)));
 }
 
