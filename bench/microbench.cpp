@@ -150,17 +150,29 @@ void BM_MaterializeCandidates(benchmark::State& state) {
 }
 BENCHMARK(BM_MaterializeCandidates)->Arg(16)->Arg(30);
 
+// The filtering encode: one f×g row into a warmed slab, as a convergecast
+// member sends it. Second arg is the percent of multi-byte lanes: 3 is
+// the filtering shape (~97 % of perfbench's lanes are one byte), 100 puts
+// every lane on the write_varint path.
 void BM_VarintEncodeAggregates(benchmark::State& state) {
   Rng rng(9);
   std::vector<Value> values(static_cast<std::size_t>(state.range(0)));
-  for (auto& v : values) v = rng.below(10000);
+  const auto multi_pct = static_cast<std::uint64_t>(state.range(1));
+  for (auto& v : values) {
+    v = rng.below(100) < multi_pct ? 128 + rng.below(100000) : rng.below(128);
+  }
+  net::SlabArena slab;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(net::encode_aggregates(values));
+    slab.reset();
+    net::PayloadWriter w(slab, 0);
+    net::encode_aggregates_to(w, values);
+    benchmark::DoNotOptimize(w.finish());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_VarintEncodeAggregates)->Arg(300)->Arg(3000);
+BENCHMARK(BM_VarintEncodeAggregates)->Args({500, 3})->Args({500, 100});
 
 // The convergecast merge kernel: a held child's encoded aggregate vector
 // folded into the parent's scratch row. Second arg caps the values — < 128 keeps every

@@ -51,6 +51,8 @@ TRACED_KEYS = [
     "core.verify_ms",
     "core.local_aggregates_ns_per_item",
     "core.materialize_ns_per_item",
+    "net.codec.pairs_ns_per_pair",
+    "net.codec.aggregates_ns_per_value",
 ]
 
 

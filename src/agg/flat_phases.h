@@ -254,7 +254,8 @@ class FlatAggregateConvergecastPhase final : public net::FlatPhase {
 /// Bottom-up merge of sorted <item, value> maps (netFilter phase 2), flat
 /// pairs on the wire. Accumulators are ValueMaps — merging sorted runs
 /// allocates, so this phase is outside the zero-alloc guarantee (DESIGN.md
-/// §6f) — but no payload object ever crosses the wire.
+/// §6f) — but no payload object ever crosses the wire: a child's pairs
+/// merge from its bytes straight into the parent's accumulator.
 class FlatPairsConvergecastPhase final : public net::FlatPhase {
  public:
   using Pairs = ValueMap<ItemId, Value>;
@@ -342,7 +343,7 @@ class FlatPairsConvergecastPhase final : public net::FlatPhase {
       obs_->tracer.record(obs::EventKind::kMerge, "convergecast.merge",
                           p.value(), sent_bytes_[p]);
     }
-    acc_[p].merge_add(net::decode_pairs(bytes));
+    net::merge_pairs_from(bytes, acc_[p]);
     --pending_[p];
     push_parent(p, ctx.cause());
     maybe_forward(ctx);

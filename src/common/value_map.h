@@ -13,46 +13,14 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
-#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "common/uninit_allocator.h"
 
 namespace nf {
-
-namespace detail {
-
-/// std::allocator whose argument-less construct() leaves the element as
-/// allocated instead of value-initializing it, so `resize(n)` costs no
-/// zero fill. Only for element types whose lifetime the allocation itself
-/// starts (trivially copy-constructible and destructible); every slot must
-/// be assigned before it is read.
-template <typename T>
-struct UninitAllocator : std::allocator<T> {
-  template <typename U>
-  struct rebind {
-    using other = UninitAllocator<U>;
-  };
-  UninitAllocator() = default;
-  template <typename U>
-  UninitAllocator(const UninitAllocator<U>&) noexcept {}
-
-  template <typename U, typename... Args>
-  void construct(U* p, Args&&... args) {
-    if constexpr (sizeof...(Args) == 0) {
-      static_assert(std::is_trivially_copy_constructible_v<U> &&
-                    std::is_trivially_destructible_v<U>);
-    } else {
-      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
-    }
-  }
-};
-
-}  // namespace detail
 
 template <typename Id, typename Value = std::uint64_t>
 class ValueMap {
@@ -86,20 +54,6 @@ class ValueMap {
     ValueMap out;
     out.entries_.assign(pairs.begin(),
                         pairs.begin() + static_cast<std::ptrdiff_t>(distinct));
-    return out;
-  }
-
-  /// Builds from pairs already sorted by id with no duplicates — e.g. the
-  /// arena-backed Phase-2 candidate rows, which are written in the sorted
-  /// order of the source map they filter. Skips the sort entirely.
-  static ValueMap from_sorted(std::span<const value_type> pairs) {
-    ValueMap out;
-    out.entries_.assign(pairs.begin(), pairs.end());
-    ensure(std::is_sorted(out.entries_.begin(), out.entries_.end(),
-                          [](const value_type& a, const value_type& b) {
-                            return a.first < b.first;
-                          }),
-           "from_sorted input must be sorted by id");
     return out;
   }
 
@@ -192,6 +146,37 @@ class ValueMap {
     const auto back_size = static_cast<std::size_t>(out + n + m - back);
     if (front != back) std::copy(back, out + n + m, front);
     merged.resize(static_cast<std::size_t>(front - out) + back_size);
+    entries_ = std::move(merged);
+  }
+
+  /// Merges a stream of `count` pairs into this map, summing values of
+  /// equal ids: `next()` yields them one at a time in strictly ascending id
+  /// order (the caller's invariant). This is `merge_add` for a source that
+  /// is read once and front to back, such as a decoder over wire bytes, so
+  /// the source never becomes a map of its own. The merge writes into a
+  /// fresh buffer and swaps it in only after the last pair, so if `next()`
+  /// throws the map is unchanged.
+  template <typename Next>
+  void merge_add_sorted(std::size_t count, Next next) {
+    if (count == 0) return;
+    const std::size_t n = entries_.size();
+    Storage merged;
+    merged.resize(n + count);  // uninitialized: every kept slot is written
+    value_type* out = merged.data();
+    const value_type* a = entries_.data();
+    const value_type* const a_end = a + n;
+    for (std::size_t i = 0; i < count; ++i) {
+      const value_type b = next();
+      while (a != a_end && a->first < b.first) *out++ = *a++;
+      if (a != a_end && a->first == b.first) {
+        *out++ = value_type(b.first, a->second + b.second);
+        ++a;
+      } else {
+        *out++ = b;
+      }
+    }
+    out = std::copy(a, a_end, out);
+    merged.resize(static_cast<std::size_t>(out - merged.data()));
     entries_ = std::move(merged);
   }
 

@@ -13,6 +13,15 @@
 //     varint values: the candidate aggregation and naive messages.
 //   * dense   — group-aggregate vectors as fixed-width or varint arrays.
 //
+// Every encoder writes through a PayloadWriter (net/payload.h): it claims
+// the worst case at the slab's tail (kMaxVarint bytes per varint), writes
+// each varint with write_varint's 8-byte store, and commits the end it
+// reached. The Bytes-returning encoders wrap these. Decoders check bounds
+// once per varint (once per pair in the pair decoder) while a longest one
+// still fits, and byte by byte only near the end of the input; every
+// malformed input throws ProtocolError. Pair lists merge straight from the
+// wire into an accumulator (merge_pairs_from), without a map per message.
+//
 // bench/ablation_encoding compares the paper's flat-field byte model with
 // these realistic encodings across every message type of a full run.
 #pragma once
@@ -48,6 +57,7 @@ void put_varint(Bytes& out, std::uint64_t value);
 
 /// <item, value> map -> count + delta-coded ids with interleaved varint
 /// values (ValueMap iterates sorted, so deltas are non-negative).
+/// decode_pairs is merge_pairs_from into an empty map.
 [[nodiscard]] Bytes encode_pairs(const ValueMap<ItemId, std::uint64_t>& map);
 [[nodiscard]] ValueMap<ItemId, std::uint64_t> decode_pairs(
     std::span<const std::uint8_t> in);
@@ -68,8 +78,8 @@ void put_varint(Bytes& out, std::uint64_t value);
 //
 // The one encoder family: append straight into a slab arena through a
 // PayloadWriter, with zero intermediate allocation on the hot path. The
-// Bytes-returning encoders above wrap these (fixed32 aside);
-// tests/codec_test.cpp pins the equivalence.
+// Bytes-returning encoders above wrap these; tests/codec_test.cpp pins
+// their bytes to a put_varint(Bytes&) reference.
 
 /// Sorted id list -> count + delta-coded varints, into `w`.
 void encode_sorted_ids_to(PayloadWriter& w, std::span<const std::uint64_t> ids);
@@ -82,10 +92,22 @@ void encode_pairs_to(PayloadWriter& w,
 void encode_aggregates_to(PayloadWriter& w,
                           std::span<const std::uint64_t> values);
 
+/// Fixed-width reference encoding, into `w`.
+void encode_aggregates_fixed32_to(PayloadWriter& w,
+                                  std::span<const std::uint64_t> values);
+
 /// Decodes an aggregate vector and adds it slot-wise into `acc` without
 /// allocating. Throws ProtocolError if the encoded count differs from
 /// `acc.size()` or the input is truncated/overlong.
 void add_aggregates_from(std::span<const std::uint8_t> in,
                          std::span<std::uint64_t> acc);
+
+/// Decodes a pair list and merges it into `acc`, summing values of equal
+/// ids, in one pass over the wire bytes: the same result as
+/// `acc.merge_add(decode_pairs(in))` without the intermediate map. Throws
+/// ProtocolError on the inputs decode_pairs rejects, leaving `acc` as it
+/// was.
+void merge_pairs_from(std::span<const std::uint8_t> in,
+                      ValueMap<ItemId, std::uint64_t>& acc);
 
 }  // namespace nf::net

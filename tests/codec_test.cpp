@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <string>
 
 #include "agg/flat_phases.h"
 #include "agg/hierarchy.h"
@@ -235,6 +236,167 @@ TEST(SlabWriterTest, ConsecutiveWritesShareOneSlab) {
             encode_sorted_ids(std::vector<std::uint64_t>{100, 200}));
 }
 
+// --- The bulk writer against a byte-at-a-time reference ---------------------
+//
+// Every *_to encoder claims its worst case, writes varints with the 8-byte
+// store of write_varint and commits; the bytes must equal what
+// put_varint(Bytes&) — one push_back per byte — produces for the same
+// message, at every varint length and at every lane offset.
+
+Bytes reference_aggregates(std::span<const std::uint64_t> values) {
+  Bytes out;
+  put_varint(out, values.size());
+  for (const std::uint64_t v : values) put_varint(out, v);
+  return out;
+}
+
+Bytes reference_fixed32(std::span<const std::uint64_t> values) {
+  Bytes out;
+  put_varint(out, values.size());
+  for (const std::uint64_t v : values) {
+    const std::uint64_t clamped = std::min<std::uint64_t>(v, 0xFFFFFFFFu);
+    for (int shift = 0; shift < 32; shift += 8) {
+      out.push_back(static_cast<std::uint8_t>(clamped >> shift));
+    }
+  }
+  return out;
+}
+
+Bytes reference_sorted_ids(std::span<const std::uint64_t> ids) {
+  Bytes out;
+  put_varint(out, ids.size());
+  std::uint64_t prev = 0;
+  for (const std::uint64_t id : ids) {
+    put_varint(out, id - prev);
+    prev = id;
+  }
+  return out;
+}
+
+Bytes reference_pairs(const ValueMap<ItemId, std::uint64_t>& map) {
+  Bytes out;
+  put_varint(out, map.size());
+  std::uint64_t prev = 0;
+  for (const auto& [id, value] : map) {
+    put_varint(out, id.value() - prev);
+    put_varint(out, value);
+    prev = id.value();
+  }
+  return out;
+}
+
+/// 2^(7k) - 1 and 2^(7k) for k = 1..9 (the last byte count of each LEB128
+/// length and the first of the next), then the edges of the 8-byte store.
+std::vector<std::uint64_t> varint_boundaries() {
+  std::vector<std::uint64_t> out;
+  for (int k = 1; k <= 9; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << (7 * k);
+    out.push_back(p - 1);
+    out.push_back(p);
+  }
+  const std::uint64_t store_edge = std::uint64_t{1} << 56;
+  out.insert(out.end(), {store_edge - 1, store_edge, std::uint64_t{1} << 63,
+                         std::numeric_limits<std::uint64_t>::max()});
+  return out;
+}
+
+/// Encodes `values` as every message type through the slab writers, after
+/// a prefix the writers must not touch, and compares each with its
+/// reference.
+void expect_writers_match_reference(const std::vector<std::uint64_t>& values,
+                                    const std::string& what) {
+  SlabArena slab;
+  slab.append(std::vector<std::uint8_t>{0xEE, 0xEE, 0xEE});
+  const auto written = [&slab](const auto& encode) {
+    PayloadWriter w(slab, 0);
+    encode(w);
+    return slab_bytes(slab, w.finish());
+  };
+  EXPECT_EQ(written([&](PayloadWriter& w) { encode_aggregates_to(w, values); }),
+            reference_aggregates(values))
+      << what;
+  EXPECT_EQ(written([&](PayloadWriter& w) {
+              encode_aggregates_fixed32_to(w, values);
+            }),
+            reference_fixed32(values))
+      << what;
+  EXPECT_EQ(written([&](PayloadWriter& w) {
+              for (const std::uint64_t v : values) w.put_varint(v);
+            }),
+            [&] {
+              Bytes out;
+              for (const std::uint64_t v : values) put_varint(out, v);
+              return out;
+            }())
+      << what;
+  std::vector<std::uint64_t> ids = values;
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(written([&](PayloadWriter& w) { encode_sorted_ids_to(w, ids); }),
+            reference_sorted_ids(ids))
+      << what;
+  ValueMap<ItemId, std::uint64_t> map;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    map.add(ItemId(values[i]), values[values.size() - 1 - i]);
+  }
+  EXPECT_EQ(written([&](PayloadWriter& w) { encode_pairs_to(w, map); }),
+            reference_pairs(map))
+      << what;
+  // The Bytes wrappers are the same bytes.
+  EXPECT_EQ(encode_aggregates(values), reference_aggregates(values)) << what;
+  EXPECT_EQ(encode_aggregates_fixed32(values), reference_fixed32(values))
+      << what;
+  EXPECT_EQ(encode_sorted_ids(ids), reference_sorted_ids(ids)) << what;
+  EXPECT_EQ(encode_pairs(map), reference_pairs(map)) << what;
+  // The writers left the slab's earlier bytes alone.
+  EXPECT_EQ(slab_bytes(slab, PayloadRef{0, 0, 3}), (Bytes{0xEE, 0xEE, 0xEE}))
+      << what;
+}
+
+TEST(BulkWriterTest, VarintBoundariesMatchReference) {
+  const std::vector<std::uint64_t> bounds = varint_boundaries();
+  expect_writers_match_reference(bounds, "all boundaries");
+  for (const std::uint64_t b : bounds) {
+    expect_writers_match_reference({b}, "boundary " + std::to_string(b));
+    // Each boundary at every lane of an 8-lane block, among one-byte
+    // lanes, so the block fast path meets it in every position.
+    for (std::size_t at = 0; at < 9; ++at) {
+      std::vector<std::uint64_t> values(17, 5);
+      values[at] = b;
+      expect_writers_match_reference(
+          values, "boundary " + std::to_string(b) + " at lane " +
+                      std::to_string(at));
+    }
+  }
+}
+
+TEST(BulkWriterTest, MixedWidthsMatchReference) {
+  Rng rng(7);
+  const std::size_t widths[] = {0, 1, 7, 8, 9, 500};
+  const std::uint64_t multi_pcts[] = {0, 3, 25, 50, 90, 100};
+  for (const std::size_t width : widths) {
+    for (const std::uint64_t multi_pct : multi_pcts) {
+      std::vector<std::uint64_t> values(width);
+      for (std::uint64_t& v : values) {
+        // Multi-byte lanes span every length from 2 to 10 bytes.
+        v = rng.below(100) < multi_pct
+                ? std::max<std::uint64_t>(128, rng() >> rng.below(57))
+                : rng.below(128);
+      }
+      expect_writers_match_reference(
+          values, "width " + std::to_string(width) + ", " +
+                      std::to_string(multi_pct) + "% multi-byte");
+    }
+  }
+}
+
+TEST(BulkWriterTest, UnsortedIdsLeaveTheSlabUntouched) {
+  SlabArena slab;
+  PayloadWriter w(slab, 0);
+  EXPECT_THROW(encode_sorted_ids_to(w, std::vector<std::uint64_t>{5, 3}),
+               InvalidArgument);
+  EXPECT_EQ(slab.size(), 0u);
+}
+
 TEST(AddAggregatesTest, AccumulatesWithoutIntermediateVector) {
   const std::vector<std::uint64_t> a{1, 0, 1ull << 40, 7};
   std::vector<std::uint64_t> acc{10, 20, 30, 40};
@@ -357,6 +519,59 @@ void sweep(const char* name, const std::vector<Bytes>& valid,
   // Both outcomes occur: the sweep reaches past the first check.
   EXPECT_GT(decoded, 0u) << name;
   EXPECT_GT(rejected, 0u) << name;
+}
+
+// --- Pair lists merged straight from the wire -----------------------------
+
+ValueMap<ItemId, std::uint64_t> random_pairs(Rng& rng, std::uint64_t n,
+                                             std::uint64_t id_range) {
+  ValueMap<ItemId, std::uint64_t> map;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    map.add(ItemId(rng.below(id_range)), any_width(rng));
+  }
+  return map;
+}
+
+TEST(MergePairsTest, FusedMergeEqualsDecodeThenMergeAdd) {
+  Rng rng(47);
+  for (int iter = 0; iter < 200; ++iter) {
+    // Small id ranges make many equal ids; wide ones make few.
+    const std::uint64_t range = iter % 2 == 0 ? 64 : std::uint64_t{1} << 40;
+    const ValueMap<ItemId, std::uint64_t> acc =
+        random_pairs(rng, rng.below(60), range);
+    const ValueMap<ItemId, std::uint64_t> child =
+        random_pairs(rng, rng.below(60), range);
+    const Bytes wire = encode_pairs(child);
+
+    ValueMap<ItemId, std::uint64_t> expected = acc;
+    expected.merge_add(decode_pairs(wire));
+    ValueMap<ItemId, std::uint64_t> fused = acc;
+    merge_pairs_from(wire, fused);
+    EXPECT_EQ(fused, expected) << iter;
+  }
+}
+
+TEST(MergePairsTest, RejectedInputLeavesAccumulatorUnchanged) {
+  Rng rng(53);
+  const ValueMap<ItemId, std::uint64_t> acc = random_pairs(rng, 8, 40);
+  std::vector<Bytes> valid;
+  for (int c = 0; c < 6; ++c) {
+    valid.push_back(encode_pairs(random_pairs(rng, 1 + rng.below(24), 40)));
+  }
+  sweep("merge_pairs_from", valid,
+        [&acc](std::span<const std::uint8_t> in) {
+          ValueMap<ItemId, std::uint64_t> merged = acc;
+          try {
+            merge_pairs_from(in, merged);
+          } catch (const ProtocolError&) {
+            EXPECT_EQ(merged, acc);
+            throw;
+          }
+          ValueMap<ItemId, std::uint64_t> expected = acc;
+          expected.merge_add(decode_pairs(in));
+          EXPECT_EQ(merged, expected);
+        },
+        rng);
 }
 
 TEST(MutationSweepTest, EveryDecoderYieldsValueOrProtocolError) {

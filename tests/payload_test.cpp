@@ -34,9 +34,8 @@ TEST(SlabArenaTest, ResetKeepsCapacity) {
 
 TEST(SlabArenaTest, ViewBoundsChecked) {
   SlabArena slab;
-  slab.push(1);
-  slab.push(2);
-  slab.push(3);
+  const std::vector<std::uint8_t> bytes{1, 2, 3};
+  slab.append(bytes);
   const auto v = slab.view(1, 2);
   EXPECT_EQ(v.size(), 2u);
   EXPECT_EQ(v[0], 2);
@@ -49,7 +48,8 @@ TEST(SlabArenaTest, ViewBoundsChecked) {
 
 TEST(PayloadWriterTest, RefCoversExactlyWhatWasWritten) {
   SlabArena slab;
-  slab.push(0xEE);  // pre-existing content the writer must not claim
+  // Pre-existing content the writer must not claim.
+  slab.append(std::vector<std::uint8_t>{0xEE});
 
   PayloadWriter w(slab, 3);
   w.put_varint(300);  // 0xAC 0x02

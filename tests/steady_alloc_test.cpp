@@ -120,6 +120,48 @@ TEST(SteadyAllocTest, WarmedWideFlatRunAllocatesNothing) {
       << "wide flat convergecast allocated on a warmed engine";
 }
 
+TEST(SteadyAllocTest, WarmedTenByteLaneFlatRunAllocatesNothing) {
+  // The bulk writer claims 10 bytes per lane at the outbox slab's tail
+  // before it writes, and one lane in 50 here is a 10-byte varint that
+  // takes write_varint's byte loop: every lane holds the complement of a
+  // small number, so its sums stay near 2^64 all the way up the tree. The
+  // warm-up run reaches the claims' high-water mark, so a warmed run must
+  // not allocate. The other lanes stay small, which keeps the held
+  // payloads inside the byte stores' reservation (1.5 bytes per lane): a
+  // row of mostly 10-byte lanes would outgrow it, and that growth is the
+  // store's, not the writer's.
+  ASSERT_TRUE(alloc_hook::armed());
+  constexpr std::uint32_t kWide = 500;
+  Rng rng(15);
+  Overlay overlay(net::random_tree(kPeers, 3, rng));
+  TrafficMeter meter(overlay.num_peers());
+  const Hierarchy hierarchy = build_bfs_hierarchy(overlay, PeerId(0));
+  Engine engine(overlay, meter, {});
+  const auto make_wide = [&hierarchy] {
+    return FlatAggregateConvergecastPhase(
+        hierarchy, TrafficCategory::kFiltering, kWide,
+        [](PeerId p, std::span<std::uint64_t> out) {
+          for (std::uint32_t j = 0; j < kWide; ++j) {
+            const std::uint64_t small = (p.value() + j) % 7;
+            out[j] = j % 50 == 0 ? ~small : small;
+          }
+        },
+        /*flat_bytes=*/0);
+  };
+
+  FlatAggregateConvergecastPhase warm = make_wide();
+  run_phase(engine, warm, kStandaloneConvergecast, 100);
+  ASSERT_TRUE(warm.complete());
+  ASSERT_GE(warm.result()[0], std::uint64_t{1} << 63);  // a 10-byte lane
+
+  engine.begin_steady_state();
+  FlatAggregateConvergecastPhase steady = make_wide();
+  run_phase(engine, steady, kStandaloneConvergecast, 100);
+  ASSERT_TRUE(steady.complete());
+  EXPECT_EQ(engine.steady_allocs(), 0u)
+      << "10-byte lanes allocated on a warmed engine";
+}
+
 TEST(SteadyAllocTest, WarmedLossyFlatRunAllocatesNothing) {
   // The reliability layer's bookkeeping — the unacked table, its payload
   // bytes, the retransmit wheel and the delivered bits — is recycled too:
