@@ -4,7 +4,9 @@
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "agg/flat_phases.h"
 #include "agg/hierarchy.h"
@@ -43,12 +45,25 @@ void BM_GroupHash(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupHash);
 
+// The batch kernel as netFilter runs it: one 192-id block (a perfbench
+// peer's local set) hashed under each of range(0) filters. Items are
+// hashes, so ns/item compares with BM_GroupHash.
 void BM_FilterBankGroups(benchmark::State& state) {
   const FilterBank bank(7, static_cast<std::uint32_t>(state.range(0)), 100);
-  std::uint64_t i = 0;
+  std::vector<std::uint64_t> ids(192);
+  for (std::size_t k = 0; k < ids.size(); ++k) ids[k] = fmix64(k + 1);
+  std::vector<std::uint32_t> groups(ids.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bank.groups_of(ItemId(fmix64(++i))));
+    for (const GroupHash& filter : bank.filters()) {
+      filter.group_block(ids, groups);
+      benchmark::DoNotOptimize(groups.data());
+      benchmark::ClobberMemory();
+    }
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ids.size()) *
+                          state.range(0));
+  state.SetLabel(std::string(group_block_path()));
 }
 BENCHMARK(BM_FilterBankGroups)->Arg(1)->Arg(3)->Arg(10);
 
@@ -111,6 +126,37 @@ void BM_LocalGroupAggregates(benchmark::State& state) {
                           static_cast<std::int64_t>(items.size()));
 }
 BENCHMARK(BM_LocalGroupAggregates)->Arg(1)->Arg(3)->Arg(5);
+
+// Phase-1 group aggregation at its perfbench shape: f = 5, g = 100, local
+// sets of ~192 items (4 000 peers, 10^5 items), 64 peers per iteration —
+// the per-peer work one query's filtering convergecast does.
+void BM_LocalGroupAggregatesQuery(benchmark::State& state) {
+  wl::WorkloadConfig wc;
+  wc.num_peers = 4000;
+  wc.num_items = 100000;
+  const auto workload = wl::Workload::generate(wc);
+  core::NetFilterConfig cfg;
+  cfg.num_groups = 100;
+  cfg.num_filters = 5;
+  const core::NetFilter nf(cfg);
+  std::vector<Value> row(std::size_t{cfg.num_filters} * cfg.num_groups);
+  constexpr std::uint32_t kPeers = 64;
+  std::int64_t items = 0;
+  for (std::uint32_t p = 0; p < kPeers; ++p) {
+    items += static_cast<std::int64_t>(workload.local_items(PeerId(p)).size());
+  }
+  for (auto _ : state) {
+    for (std::uint32_t p = 0; p < kPeers; ++p) {
+      nf.local_group_aggregates_into(workload.local_items(PeerId(p)), row);
+      benchmark::DoNotOptimize(row.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          items);
+  state.SetLabel(std::string(group_block_path()));
+}
+BENCHMARK(BM_LocalGroupAggregatesQuery);
 
 // Phase-2 candidate materialization at its perfbench shape: f = 5, g = 100,
 // local sets of ~192 items (4 000 peers, 10^5 items, 10 instances each).

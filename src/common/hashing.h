@@ -7,6 +7,26 @@
 // the root can broadcast. We use the 64-bit finalizer from MurmurHash3
 // (fmix64) composed with the seed, which gives good avalanche behaviour and
 // is cheap enough to hash millions of items per second.
+//
+// The batch group kernel. GroupHash::group_block hashes a block of ids
+// under one filter and writes one group index per id, exactly
+// group_of(id).value(). Both netFilter kernels run on it: phase-1 group
+// aggregation and phase-2 candidate materialization hash every local item
+// under every filter, so this loop is most of a query's CPU time.
+//  - On a CPU with AVX-512F and AVX-512DQ it hashes eight ids per step:
+//    fmix64's two multiplies are `vpmullq`, and the range reduction is two
+//    32×32→64 `vpmuludq`s by the exact identity below.
+//  - Any other CPU runs the scalar group_of loop.
+//  The path is chosen once per process from the CPU's feature bits
+//  (group_block_path() names it); no option selects it. The two paths
+//  return the same indices, so results never depend on the host.
+//
+// Range reduction. group_of is (h·g) >> 64 over a 128-bit product. With
+// h = hi·2^32 + lo (hi, lo < 2^32) and g < 2^32,
+//   (h·g) >> 64 == (hi·g + ((lo·g) >> 32)) >> 32
+// exactly: dropping the low 32 bits of lo·g before the final shift cannot
+// carry into bit 64, and the sum is at most (2^32−1)·(2^32−1) + (2^32−1)
+// = (2^32−1)·2^32 < 2^64, so it never overflows 64 bits.
 #pragma once
 
 #include <cstdint>
@@ -103,6 +123,12 @@ class GroupHash {
     return GroupId(g);
   }
 
+  /// The batch kernel: out[k] = group_of(ItemId(ids[k])).value() for
+  /// every k < ids.size(). Requires out.size() >= ids.size(). Raw ids, so
+  /// a caller's stack block of them needs no zero fill.
+  void group_block(std::span<const std::uint64_t> ids,
+                   std::span<std::uint32_t> out) const;
+
   [[nodiscard]] std::uint32_t num_groups() const { return num_groups_; }
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
@@ -146,18 +172,13 @@ class FilterBank {
     return filters_;
   }
 
-  /// The f groups an item belongs to, one per filter.
-  [[nodiscard]] std::vector<GroupId> groups_of(ItemId item) const {
-    std::vector<GroupId> out;
-    out.reserve(filters_.size());
-    for (const auto& f : filters_) out.push_back(f.group_of(item));
-    return out;
-  }
-
   friend bool operator==(const FilterBank&, const FilterBank&) = default;
 
  private:
   std::vector<GroupHash> filters_;
 };
+
+/// The path GroupHash::group_block runs on this CPU: "avx512" or "scalar".
+[[nodiscard]] std::string_view group_block_path();
 
 }  // namespace nf

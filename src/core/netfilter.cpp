@@ -24,6 +24,11 @@ namespace {
 /// fig7's ~100 local items take one chunk.
 constexpr std::size_t kMaterializeChunk = 1024;
 
+/// Items per stack block of local_group_aggregates_into: perfbench's ~192
+/// local items take one block, and one filter's indices stay in L1 until
+/// they are scattered.
+constexpr std::size_t kAggregateBlock = 256;
+
 double per_peer(std::uint64_t bytes, std::uint32_t num_peers) {
   return static_cast<double>(bytes) / static_cast<double>(num_peers);
 }
@@ -230,21 +235,36 @@ void NetFilter::local_group_aggregates_into(const LocalItems& items,
   ensure(out.size() == static_cast<std::size_t>(f) * g,
          "aggregate span size mismatch");
   std::fill(out.begin(), out.end(), 0);
-  // One g-wide row per filter; the size check above bounds every index.
+  // Block by block: the block's ids are hashed under each filter into one
+  // index block, whose sums are then scattered into that filter's g-wide
+  // row; the size check above bounds every index.
+  const std::span<const LocalItems::value_type> pairs(items.begin(),
+                                                      items.end());
   const std::span<const GroupHash> filters = bank_.filters();
-  for (const auto& [id, value] : items) {
+  std::array<std::uint64_t, kAggregateBlock> ids;  // written before read
+  std::array<std::uint32_t, kAggregateBlock> index;  // written before read
+  for (std::size_t base = 0; base < pairs.size(); base += ids.size()) {
+    const std::span<const LocalItems::value_type> block = pairs.subspan(
+        base, std::min(ids.size(), pairs.size() - base));
+    for (std::size_t k = 0; k < block.size(); ++k) {
+      ids[k] = block[k].first.value();
+    }
     Value* row = out.data();
     for (const GroupHash& filter : filters) {
-      row[filter.group_of(id).value()] += value;
+      filter.group_block(std::span(ids).first(block.size()), index);
+      for (std::size_t k = 0; k < block.size(); ++k) {
+        row[index[k]] += block[k].second;
+      }
       row += g;
     }
   }
 }
 
 // A branch-free cascade, chunk by chunk so the survivors' offsets fit one
-// stack buffer. Filter 0 writes every offset and advances the cursor by the
-// item's heavy bit, so no per-item branch can mispredict; each later filter
-// compacts the survivors of the one before in place, and most items fail
+// stack buffer. The batch kernel hashes the whole chunk under filter 0,
+// then only the survivors of the filter before under each later one. Each
+// filter's pass writes every survivor's offset and advances the cursor by
+// its heavy bit, so no per-item branch can mispredict; most items fail
 // early (70-95 % fail filter 0 on perfbench's data). The survivors keep
 // the local set's order, so the result is built by appending them, with no
 // sort. The first chunk reserves the map exactly; up to kMaterializeChunk
@@ -256,21 +276,31 @@ LocalItems NetFilter::materialize_candidates(const LocalItems& items,
                                                       items.end());
   const std::span<const GroupHash> filters = bank_.filters();
   LocalItems out;
-  std::array<std::uint32_t, kMaterializeChunk> keep;  // written before read
+  // All three are written before they are read.
+  std::array<std::uint64_t, kMaterializeChunk> ids;
+  std::array<std::uint32_t, kMaterializeChunk> group;
+  std::array<std::uint32_t, kMaterializeChunk> keep;
   for (std::size_t base = 0; base < pairs.size(); base += keep.size()) {
     const std::span<const LocalItems::value_type> chunk = pairs.subspan(
         base, std::min(keep.size(), pairs.size() - base));
+    for (std::size_t k = 0; k < chunk.size(); ++k) {
+      ids[k] = chunk[k].first.value();
+    }
+    filters[0].group_block(std::span(ids).first(chunk.size()), group);
     std::size_t n = 0;
     for (std::size_t k = 0; k < chunk.size(); ++k) {
       keep[n] = static_cast<std::uint32_t>(k);
-      n += heavy.is_heavy(0, filters[0].group_of(chunk[k].first).value());
+      n += heavy.is_heavy(0, group[k]);
     }
     for (std::uint32_t i = 1; i < filters.size() && n > 0; ++i) {
+      for (std::size_t s = 0; s < n; ++s) {
+        ids[s] = chunk[keep[s]].first.value();
+      }
+      filters[i].group_block(std::span(ids).first(n), group);
       std::size_t m = 0;
       for (std::size_t s = 0; s < n; ++s) {
-        const std::uint32_t k = keep[s];
-        keep[m] = k;
-        m += heavy.is_heavy(i, filters[i].group_of(chunk[k].first).value());
+        keep[m] = keep[s];
+        m += heavy.is_heavy(i, group[s]);
       }
       n = m;
     }

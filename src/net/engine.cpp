@@ -67,7 +67,9 @@ void Context::push_send(PeerId to, TrafficCategory category,
                /*is_ack=*/0,
                /*ack_msg_id=*/0,
                Envelope{self_, to, category, bytes, std::move(payload), flat,
-                        session, phase}};
+                        session, phase, obs::kNoLineage},
+               obs::kNoLineage,
+               {}};
   // First nonzero parent becomes the primary; the rest go to the sampled
   // extra-edge store. Zero ids (round-originated causes) are skipped so
   // callers can push causes unconditionally.
@@ -422,7 +424,10 @@ void Engine::predispatch(std::vector<Outgoing>& inbox, const ShardPlan& plan) {
       engine_sends_.push_back(Context::KeyedSend{
           static_cast<std::uint64_t>(i), 0, /*is_ack=*/1, out.msg_id,
           Envelope{out.envelope.to, out.envelope.from,
-                   TrafficCategory::kControl, fault_.ack_bytes, {}}});
+                   TrafficCategory::kControl, fault_.ack_bytes, {}, {},
+                   kNoSession, PhaseId{0}, obs::kNoLineage},
+          obs::kNoLineage,
+          {}});
       // Exactly-once delivery: retransmitted duplicates stop here.
       if (mark_delivered(out.msg_id)) {
         ++duplicates_;

@@ -132,8 +132,8 @@ void Json::dump_impl(std::ostream& os, int indent, int depth) const {
     os << "null";
   } else if (const auto* b = std::get_if<bool>(&v_)) {
     os << (*b ? "true" : "false");
-  } else if (const auto* i = std::get_if<std::int64_t>(&v_)) {
-    os << *i;
+  } else if (const auto* n = std::get_if<std::int64_t>(&v_)) {
+    os << *n;
   } else if (const auto* u = std::get_if<std::uint64_t>(&v_)) {
     os << *u;
   } else if (const auto* d = std::get_if<double>(&v_)) {

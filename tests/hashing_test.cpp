@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <iostream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -131,13 +133,78 @@ TEST(FilterBankTest, DerivesIndependentFilters) {
   EXPECT_EQ(seeds.size(), 4u);
 }
 
-TEST(FilterBankTest, GroupsOfReturnsOnePerFilter) {
-  const FilterBank bank(42, 3, 10);
-  const auto groups = bank.groups_of(ItemId(777));
-  ASSERT_EQ(groups.size(), 3u);
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(groups[i], bank.filter(i).group_of(ItemId(777)));
+/// Ids at the edges of the 64-bit space and of its 32-bit halves.
+constexpr std::uint64_t kExtremeIds[] = {0ull, 0xFFFFFFFFull, 1ull << 63,
+                                         0xFFFFFFFFFFFFFFFFull};
+
+/// Logs which kernel path the tests below exercise on this host.
+void log_group_block_path() {
+  std::cout << "group_block path: " << group_block_path() << '\n';
+  ::testing::Test::RecordProperty("group_block_path",
+                                  std::string(group_block_path()));
+}
+
+TEST(GroupBlockTest, EqualsGroupOfOnEveryLength) {
+  // The batch kernel against the per-item definition: every block length
+  // that leaves a 0-7 id tail (0-17, 63-65, 1023-1025), group counts from
+  // 1 to 2^32-1 (so the 32-bit split of the range reduction runs at both
+  // ends of its bound), and the extreme ids. Output past the block must
+  // stay untouched.
+  log_group_block_path();
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 17; ++n) lengths.push_back(n);
+  for (const std::size_t n : {63u, 64u, 65u, 1023u, 1024u, 1025u}) {
+    lengths.push_back(n);
   }
+  constexpr std::uint32_t kGuard = 0xA5A5A5A5u;
+  Rng rng(77);
+  for (const std::uint32_t g :
+       {1u, 2u, 63u, 64u, 65u, 100u, 1000u, 1u << 31, 0xFFFFFFFFu}) {
+    const GroupHash h(rng(), g);
+    for (const std::size_t n : lengths) {
+      std::vector<std::uint64_t> ids(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        ids[k] = k < std::size(kExtremeIds) ? kExtremeIds[k] : rng();
+      }
+      std::vector<std::uint32_t> out(n + 8, kGuard);
+      h.group_block(ids, out);
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(out[k], h.group_of(ItemId(ids[k])).value())
+            << "g=" << g << " n=" << n << " k=" << k << " id=" << ids[k];
+      }
+      for (std::size_t k = n; k < out.size(); ++k) {
+        ASSERT_EQ(out[k], kGuard) << "g=" << g << " n=" << n << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(GroupBlockTest, ExtremeIdsUnderEverySeed) {
+  // Each extreme id at every lane of a full block, so each lane of the
+  // vector path sees them, under several seeds and the largest g.
+  log_group_block_path();
+  for (const std::uint64_t seed : {0ull, 1ull, 0xDEADBEEFull}) {
+    for (const std::uint32_t g : {1u, 1000u, 0xFFFFFFFFu}) {
+      const GroupHash h(seed, g);
+      for (std::size_t lane = 0; lane < 8; ++lane) {
+        std::vector<std::uint64_t> ids(8, 12345);
+        for (const std::uint64_t id : kExtremeIds) {
+          ids[lane] = id;
+          std::vector<std::uint32_t> out(8);
+          h.group_block(ids, out);
+          EXPECT_EQ(out[lane], h.group_of(ItemId(id)).value())
+              << "seed=" << seed << " g=" << g << " lane=" << lane;
+        }
+      }
+    }
+  }
+}
+
+TEST(GroupBlockTest, ShortOutputThrows) {
+  const GroupHash h(1, 10);
+  const std::vector<std::uint64_t> ids(9, 1);
+  std::vector<std::uint32_t> out(8);
+  EXPECT_THROW(h.group_block(ids, out), InvalidArgument);
 }
 
 TEST(FilterBankTest, SameMasterSeedSameBank) {
@@ -151,8 +218,10 @@ TEST(FilterBankTest, FiltersDisagreeOnItems) {
   const FilterBank bank(11, 2, 100);
   int disagreements = 0;
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    const auto groups = bank.groups_of(ItemId(fmix64(i)));
-    if (groups[0] != groups[1]) ++disagreements;
+    const ItemId item(fmix64(i));
+    if (bank.filter(0).group_of(item) != bank.filter(1).group_of(item)) {
+      ++disagreements;
+    }
   }
   EXPECT_GT(disagreements, 950);
 }

@@ -74,7 +74,7 @@ TEST(TrafficMeterTest, PerPeerBreakdownIndexesByCategory) {
   for (const std::uint64_t bytes : m.per_peer_breakdown(PeerId(0))) {
     EXPECT_EQ(bytes, 0u);
   }
-  EXPECT_THROW(m.per_peer_breakdown(PeerId(3)), InvalidArgument);
+  EXPECT_THROW((void)m.per_peer_breakdown(PeerId(3)), InvalidArgument);
 }
 
 TEST(TrafficMeterTest, WriteCsvEmitsPerPeerRowsAndTotals) {

@@ -4,6 +4,8 @@
 
 #include <cstddef>
 #include <initializer_list>
+#include <iostream>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -236,6 +238,50 @@ TEST(NetFilterTest, LocalGroupAggregatesPreserveMass) {
   }
 }
 
+/// Logs which group_block path the test exercises on this host.
+void log_group_block_path() {
+  std::cout << "group_block path: " << group_block_path() << '\n';
+  ::testing::Test::RecordProperty("group_block_path",
+                                  std::string(group_block_path()));
+}
+
+/// `n` distinct random ids with random values.
+LocalItems random_items(std::size_t n, Rng& rng) {
+  std::vector<LocalItems::value_type> pairs;
+  for (std::size_t k = 0; k < n; ++k) {
+    pairs.emplace_back(ItemId(rng()), 1 + rng.below(1000));
+  }
+  return LocalItems::from_unsorted(std::move(pairs));
+}
+
+TEST(NetFilterTest, LocalGroupAggregatesEqualThePerItemDefinition) {
+  // The blocked kernel against the definition: each item adds its value to
+  // row i, column group_of(item) of every filter i. Set sizes cover the
+  // empty set, one item, a kernel step and its neighbours (7, 8, 9), one
+  // block (192) and several blocks (2500).
+  log_group_block_path();
+  Rng rng(2027);
+  for (const std::uint32_t f : {1u, 5u, 17u}) {
+    for (const std::uint32_t g : {1u, 63u, 64u, 65u, 100u, 1000u}) {
+      const NetFilter nf(config(g, f));
+      for (const std::size_t n :
+           {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+            std::size_t{9}, std::size_t{192}, std::size_t{2500}}) {
+        const LocalItems items = random_items(n, rng);
+        std::vector<Value> expected(std::size_t{f} * g, 0);
+        for (const auto& [id, v] : items) {
+          for (std::uint32_t i = 0; i < f; ++i) {
+            expected[std::size_t{i} * g +
+                     nf.bank().filter(i).group_of(id).value()] += v;
+          }
+        }
+        EXPECT_EQ(nf.local_group_aggregates(items), expected)
+            << "f=" << f << " g=" << g << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(NetFilterTest, MaterializeCandidatesHonorsAllFilters) {
   Rig rig(20, 1000, 1.0, 21);
   const NetFilter nf(config(8, 2));
@@ -318,28 +364,23 @@ HeavyGroupSet random_heavy(std::uint32_t f, std::uint32_t g, double density,
   return h;
 }
 
-/// `n` distinct random ids with random values.
-LocalItems random_items(std::size_t n, Rng& rng) {
-  std::vector<LocalItems::value_type> pairs;
-  for (std::size_t k = 0; k < n; ++k) {
-    pairs.emplace_back(ItemId(rng()), 1 + rng.below(1000));
-  }
-  return LocalItems::from_unsorted(std::move(pairs));
-}
-
 TEST(NetFilterTest, MaterializeEqualsThePerItemDefinition) {
   // The cascade against the definition it replaces: keep exactly the items
   // for which passes() holds, in map order. Shapes cover one word per row
-  // (g <= 64), a row's padding bits (g = 1, 63, 65, 100, 1000), local sets
-  // that span several of the cascade's chunks, and the degenerate sets.
+  // (g <= 64), a row's padding bits (g = 1, 63, 65, 100, 1000), a kernel
+  // step and its neighbours (7, 8, 9, 65 items), local sets that span
+  // several of the cascade's chunks, and the degenerate sets.
+  log_group_block_path();
   Rng rng(2026);
-  for (const std::uint32_t f : {1u, 2u, 5u, 10u}) {
+  for (const std::uint32_t f : {1u, 2u, 5u, 10u, 17u}) {
     for (const std::uint32_t g : {1u, 63u, 64u, 65u, 100u, 1000u}) {
       const NetFilter nf(config(g, f));
       for (const double density : {0.0, 0.2, 0.5, 0.9, 1.0}) {
         const HeavyGroupSet heavy = random_heavy(f, g, density, rng);
-        for (const std::size_t n : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{192}, std::size_t{2500}}) {
+        for (const std::size_t n :
+             {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+              std::size_t{9}, std::size_t{65}, std::size_t{192},
+              std::size_t{2500}}) {
           const LocalItems items = random_items(n, rng);
           LocalItems expected;
           for (const auto& [id, v] : items) {
