@@ -16,6 +16,7 @@
 #include "net/codec.h"
 #include "common/value_map.h"
 #include "common/zipf.h"
+#include "core/naive.h"
 #include "core/netfilter.h"
 #include "net/engine.h"
 #include "net/session.h"
@@ -274,6 +275,33 @@ void BM_FlatAggregateConvergecast(benchmark::State& state) {
                           kPeers);
 }
 BENCHMARK(BM_FlatAggregateConvergecast)->Unit(benchmark::kMillisecond);
+
+// One NaiveCollector::run at a fifth of the perfbench naive_collect shape:
+// 2 000 peers on a fanout-3 random tree, 2·10^5 item instances. A run
+// builds its own engine, so this times set-up plus the typed convergecast:
+// members' own items read in place, one merged map per internal member.
+void BM_NaiveCollect(benchmark::State& state) {
+  constexpr std::uint32_t kPeers = 2000;
+  wl::WorkloadConfig wc;
+  wc.num_peers = kPeers;
+  wc.num_items = 20000;
+  const wl::Workload workload = wl::Workload::generate(wc);
+  Rng rng(19);
+  net::Overlay overlay(net::random_tree(kPeers, 3, rng));
+  net::TrafficMeter meter(overlay.num_peers());
+  const agg::Hierarchy hierarchy =
+      agg::build_bfs_hierarchy(overlay, PeerId(0));
+  const Value threshold = workload.threshold_for(0.01);
+  const core::NaiveCollector naive{WireSizes{}};
+  for (auto _ : state) {
+    const core::NaiveResult r =
+        naive.run(workload, hierarchy, overlay, meter, threshold);
+    benchmark::DoNotOptimize(r.frequent.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kPeers);
+}
+BENCHMARK(BM_NaiveCollect)->Unit(benchmark::kMillisecond);
 
 void BM_DeltaEncodePairs(benchmark::State& state) {
   std::vector<std::pair<ItemId, Value>> pairs;

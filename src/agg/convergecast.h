@@ -12,19 +12,25 @@
 //   merge(T&, T&&)           combine a child's aggregate into the parent's
 //   wire_bytes(const T&)     modelled serialized size of one message
 //
-// Used with T = LocalItems for the naive collector and with a Misra–Gries
-// summary for the approximate baseline. netFilter's own phases use the
-// flat counterparts (agg/flat_phases.h). This is the last typed hierarchy
-// phase: the naive collector measured about 4× slower on
-// FlatPairsConvergecastPhase (perfbench naive_collect query_ms_p50 262–266
-// vs 61–64 ms with the branch-free ValueMap merge on both), so the typed
-// path stays until pairs merge straight from the wire.
+// Used by the naive collector (core/naive.cpp), whose aggregate borrows
+// or owns an item map, and with a Misra–Gries summary for the approximate
+// baseline. netFilter's own phases use the flat counterparts
+// (agg/flat_phases.h). This is the last typed hierarchy phase: the naive
+// collector measured 3.0–3.1× slower on FlatPairsConvergecastPhase, even
+// with pairs merged straight from the wire (perfbench naive_collect
+// query_ms_p50 181–183 vs 58–60 ms; ROADMAP item 1), so the typed path
+// stays.
 //
 // ConvergecastPhase is a session-runtime component (net/session.h): it
 // initializes a peer when its phase opens there — so a convergecast can
 // start per peer, pipelined behind whatever triggers it — and reports
 // done() once the root has merged every child. To run one alone, pass it
 // to net::run_phase with net::kStandaloneConvergecast.
+//
+// Each upward message names as causal parents the arrival that opened the
+// phase at its sender and every child message merged in. A parent is kept
+// only when it is a lineage id (obs/lineage.h): with no recorder attached
+// every cause is kNoLineage, so such runs keep no per-member parent list.
 #pragma once
 
 #include <atomic>
@@ -84,7 +90,7 @@ class ConvergecastPhase final : public net::TypedPhase<T> {  // nf-lint: nf-flat
         static_cast<std::uint32_t>(hierarchy_.downstream(p).size());
     // Whatever opened this phase here (a dissemination arrival, a replayed
     // envelope) is a causal parent of the merged message sent upward.
-    st.parents.push_back(ctx.cause());
+    keep_parent(ctx, st);
     maybe_forward(ctx, st);
   }
 
@@ -122,7 +128,7 @@ class ConvergecastPhase final : public net::TypedPhase<T> {  // nf-lint: nf-flat
     }
     merge_(*st.acc, std::move(child));
     --st.pending;
-    st.parents.push_back(ctx.cause());
+    keep_parent(ctx, st);
     maybe_forward(ctx, st);
   }
 
@@ -136,6 +142,14 @@ class ConvergecastPhase final : public net::TypedPhase<T> {  // nf-lint: nf-flat
     /// the phase plus every child aggregate merged in.
     std::vector<obs::LineageId> parents;
   };
+
+  /// Keeps the current cause as a parent only when it is a lineage id:
+  /// send() skips kNoLineage anyway, so a run without a recorder builds no
+  /// parent list at all.
+  static void keep_parent(const net::PhaseContext& ctx, State& st) {
+    // nf-lint: nf-envelope-discipline-ok (compared here, never sent)
+    if (ctx.cause() != obs::kNoLineage) st.parents.push_back(ctx.cause());
+  }
 
   void maybe_forward(net::PhaseContext& ctx, State& st) {
     if (st.pending != 0 || st.sent) return;

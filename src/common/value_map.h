@@ -6,8 +6,8 @@
 // memory-frugal than a node-based map at the sizes the simulator reaches
 // (10^7 instances across 10^3 peers), and it gives deterministic iteration
 // order for free — which keeps runs bit-reproducible. The merge itself
-// (`merge_add`) is branch-free and runs from both ends of its output at
-// once; see its comment.
+// (`merged`, which `merge_add` wraps) is branch-free and runs from both
+// ends of its output at once; see its comment.
 #pragma once
 
 #include <algorithm>
@@ -74,10 +74,18 @@ class ValueMap {
     }
   }
 
-  /// Merges `other` into this map, summing values of equal ids.
-  /// O(|this| + |other|), and branch-free where it matters: two merge
-  /// chains run in one loop, the front one writing ascending ids from the
-  /// start of the output, the back one descending ids from its end. Each
+  /// Merges `other` into this map, summing values of equal ids: `merged`
+  /// into a fresh buffer that then replaces this map's.
+  void merge_add(const ValueMap& other) {
+    if (other.empty()) return;
+    *this = merged(*this, other);
+  }
+
+  /// The merge of `lhs` and `rhs`, summing values of equal ids; neither
+  /// input changes, and both may be one map. O(|lhs| + |rhs|), and
+  /// branch-free where it matters: two merge chains run in one loop, the
+  /// front one writing ascending ids from the start of the output, the back
+  /// one descending ids from its end. Each
   /// chain picks its next pair and sums equal ids with 0/1 predicates, so
   /// no step depends on a data-dependent branch, and the two independent
   /// chains halve the load→compare→advance dependency per output pair.
@@ -87,22 +95,21 @@ class ValueMap {
   /// When fewer than two pairs remain on one side, a scalar pass merges
   /// what is left onto the front output and the back output is moved down
   /// behind it.
-  void merge_add(const ValueMap& other) {
-    const std::size_t n = entries_.size();
-    const std::size_t m = other.entries_.size();
-    if (m == 0) return;
-    if (n == 0) {
-      entries_ = other.entries_;
-      return;
-    }
-    Storage merged;
+  [[nodiscard]] static ValueMap merged(const ValueMap& lhs,
+                                       const ValueMap& rhs) {
+    const std::size_t n = lhs.entries_.size();
+    const std::size_t m = rhs.entries_.size();
+    if (m == 0) return lhs;
+    if (n == 0) return rhs;
+    ValueMap result;
+    Storage& merged = result.entries_;
     merged.resize(n + m);  // uninitialized: every kept slot is written
     value_type* const out = merged.data();
     value_type* front = out;
     value_type* back = out + n + m;  // one past the next back write
-    const value_type* a = entries_.data();
+    const value_type* a = lhs.entries_.data();
     const value_type* a_end = a + n;  // one past A's last unmerged pair
-    const value_type* b = other.entries_.data();
+    const value_type* b = rhs.entries_.data();
     const value_type* b_end = b + m;
     for (;;) {
       const std::size_t steps =
@@ -146,7 +153,7 @@ class ValueMap {
     const auto back_size = static_cast<std::size_t>(out + n + m - back);
     if (front != back) std::copy(back, out + n + m, front);
     merged.resize(static_cast<std::size_t>(front - out) + back_size);
-    entries_ = std::move(merged);
+    return result;
   }
 
   /// Merges a stream of `count` pairs into this map, summing values of

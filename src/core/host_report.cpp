@@ -22,11 +22,12 @@ EffectiveItems::EffectiveItems(const ItemSource& base,
       meter->record(id, net::TrafficCategory::kHostReport,
                     items.size() * wire.item_value_pair());
     }
-    if (!has_merged_[host]) {
+    if (has_merged_[host]) {
+      merged_[host].merge_add(items);
+    } else {
       has_merged_[host] = true;
-      merged_[host] = base.local_items(host);
+      merged_[host] = LocalItems::merged(base.local_items(host), items);
     }
-    merged_[host].merge_add(items);
   }
 }
 

@@ -6,6 +6,22 @@
 #include "net/session.h"
 
 namespace nf::core {
+namespace {
+
+// A member's running aggregate. Until the first child merges in it is a
+// view of the member's own items (they outlive the run); from then on it
+// owns the merge of everything so far. Copies (retransmissions copy the
+// payload) stay valid either way.
+struct Aggregate {
+  const LocalItems* borrowed = nullptr;
+  LocalItems owned;
+
+  [[nodiscard]] const LocalItems& items() const {
+    return borrowed != nullptr ? *borrowed : owned;
+  }
+};
+
+}  // namespace
 
 NaiveResult NaiveCollector::run(const ItemSource& items,
                                 const agg::Hierarchy& hierarchy,
@@ -16,14 +32,18 @@ NaiveResult NaiveCollector::run(const ItemSource& items,
   const std::uint64_t before = meter.total(net::TrafficCategory::kNaive);
   const EffectiveItems effective(items, hierarchy, overlay, wire_, &meter);
 
-  agg::ConvergecastPhase<LocalItems> cast(
+  agg::ConvergecastPhase<Aggregate> cast(
       hierarchy, net::TrafficCategory::kNaive,
-      /*local=*/[&](PeerId p) { return effective.local_items(p); },
+      /*local=*/
+      [&](PeerId p) { return Aggregate{&effective.local_items(p), {}}; },
       /*merge=*/
-      [](LocalItems& acc, LocalItems&& child) { acc.merge_add(child); },
+      [](Aggregate& acc, Aggregate&& child) {
+        acc.owned = LocalItems::merged(acc.items(), child.items());
+        acc.borrowed = nullptr;
+      },
       /*wire_bytes=*/
-      [this](const LocalItems& m) {
-        return m.size() * wire_.item_value_pair();
+      [this](const Aggregate& m) {
+        return m.items().size() * wire_.item_value_pair();
       });
 
   net::Engine engine(overlay, meter, {.fault = fault_});
@@ -31,9 +51,11 @@ NaiveResult NaiveCollector::run(const ItemSource& items,
       net::run_phase(engine, cast, net::kStandaloneConvergecast, 100000);
   ensure(cast.complete(), "naive aggregation did not complete");
 
+  // Ascending ids, so each add appends; the result owns its entries.
   NaiveResult result;
-  result.frequent = cast.result();
-  result.frequent.retain([&](ItemId, Value v) { return v >= threshold; });
+  for (const auto& [id, v] : cast.result().items()) {
+    if (v >= threshold) result.frequent.add(id, v);
+  }
 
   const std::uint64_t bytes =
       meter.total(net::TrafficCategory::kNaive) - before;

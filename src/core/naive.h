@@ -8,6 +8,11 @@
 // (sa+si)·o·(h−1) (Formula 2): a peer propagates the union of its own
 // items and everything its subtree sent, which is why the realized cost
 // sits well below the intuitive O(n·N).
+//
+// Members read their own items in place: a member's aggregate is a view of
+// its EffectiveItems entry until the first child merges in, so a leaf's
+// upward message carries no copy of its item set. The returned `frequent`
+// map owns its entries and holds no reference into the item source.
 #pragma once
 
 #include "agg/hierarchy.h"

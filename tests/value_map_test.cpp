@@ -271,5 +271,123 @@ TEST(ValueMapMergeTest, SelfMergeDoublesEveryValue) {
                    {{ItemId(0), 2}, {ItemId(5), 4}, {ItemId(9), 6}}));
 }
 
+// merged(a, b) is merge_add's kernel with both inputs left untouched.
+TEST(ValueMapMergedTest, EmptyDisjointInterleavedAndEqualIds) {
+  const Map empty;
+  const Map low = Map::from_unsorted({{ItemId(1), 1}, {ItemId(2), 2}});
+  const Map high = Map::from_unsorted({{ItemId(7), 7}, {ItemId(9), 9}});
+  const Map odd =
+      Map::from_unsorted({{ItemId(1), 10}, {ItemId(3), 30}, {ItemId(5), 50}});
+  const Map even = Map::from_unsorted({{ItemId(2), 20}, {ItemId(4), 40}});
+
+  EXPECT_EQ(Map::merged(empty, empty), empty);
+  EXPECT_EQ(Map::merged(low, empty), low);
+  EXPECT_EQ(Map::merged(empty, low), low);
+  EXPECT_EQ(Map::merged(low, high),
+            Map::from_unsorted({{ItemId(1), 1}, {ItemId(2), 2},
+                                {ItemId(7), 7}, {ItemId(9), 9}}));
+  EXPECT_EQ(Map::merged(high, low), Map::merged(low, high));
+  EXPECT_EQ(Map::merged(odd, even),
+            Map::from_unsorted({{ItemId(1), 10}, {ItemId(2), 20},
+                                {ItemId(3), 30}, {ItemId(4), 40},
+                                {ItemId(5), 50}}));
+  EXPECT_EQ(Map::merged(odd, odd),
+            Map::from_unsorted(
+                {{ItemId(1), 20}, {ItemId(3), 60}, {ItemId(5), 100}}));
+  EXPECT_EQ(Map::merged(low, odd),
+            Map::from_unsorted({{ItemId(1), 11}, {ItemId(2), 2},
+                                {ItemId(3), 30}, {ItemId(5), 50}}));
+}
+
+TEST(ValueMapMergedTest, ExtremeIdsSum) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const Map a = Map::from_unsorted({{ItemId(0), 1}, {ItemId(kMax), 2}});
+  const Map b =
+      Map::from_unsorted({{ItemId(kMax - 1), 3}, {ItemId(kMax), 4}});
+  const Map m = Map::merged(a, b);
+  EXPECT_EQ(m, Map::from_unsorted({{ItemId(0), 1},
+                                   {ItemId(kMax - 1), 3},
+                                   {ItemId(kMax), 6}}));
+  EXPECT_EQ(Map::merged(b, a), m);
+}
+
+/// `count` ascending ids starting at `first`, `step` apart, valued `v`.
+Map run_of(std::uint64_t first, std::uint64_t step, std::size_t count,
+           std::uint64_t v) {
+  Map m;
+  for (std::size_t i = 0; i < count; ++i) m.add(ItemId(first + step * i), v);
+  return m;
+}
+
+// Sizes 0-17 on either side cover the empty inputs, the scalar tail alone
+// and the first few batches of the two-chain loop.
+TEST(ValueMapMergedTest, SmallSizesOnEitherSideMatchReference) {
+  for (std::size_t n = 0; n <= 17; ++n) {
+    for (std::size_t m = 0; m <= 17; ++m) {
+      // Step 2 against step 3 from 0: some ids shared, some interleaved.
+      const Map a = run_of(0, 2, n, 1);
+      const Map b = run_of(0, 3, m, 100);
+      const Map copy_a = a;
+      const Map copy_b = b;
+      const Map out = Map::merged(a, b);
+      EXPECT_EQ(a, copy_a);
+      EXPECT_EQ(b, copy_b);
+      Map via_add = a;
+      via_add.merge_add(b);
+      ASSERT_EQ(out, via_add) << "n " << n << ", m " << m;
+      const auto ref = reference_merge(a, b);
+      ASSERT_EQ(out.size(), ref.size()) << "n " << n << ", m " << m;
+      std::size_t i = 0;
+      for (const auto& [id, v] : out) {
+        EXPECT_EQ(id.value(), ref[i].first);
+        EXPECT_EQ(v, ref[i].second);
+        ++i;
+      }
+    }
+  }
+}
+
+// Random inputs over the whole 64-bit id space: merged(a, b) equals a
+// std::map fold and merge_add, and neither input changes.
+TEST(ValueMapMergedTest, RandomInputsEqualMapFoldAndMergeAdd) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = rng.below(300);
+    const std::size_t m = rng.below(300);
+    std::vector<std::pair<ItemId, std::uint64_t>> pa;
+    std::vector<std::pair<ItemId, std::uint64_t>> pb;
+    // A narrow id range in some trials forces many equal ids.
+    const bool narrow = rng.chance(0.5);
+    auto draw_id = [&] { return narrow ? rng.below(400) : rng(); };
+    for (std::size_t i = 0; i < n; ++i) {
+      pa.emplace_back(ItemId(draw_id()), rng.between(1, 1000));
+    }
+    for (std::size_t i = 0; i < m; ++i) {
+      pb.emplace_back(ItemId(draw_id()), rng.between(1, 1000));
+    }
+    const Map a = Map::from_unsorted(pa);
+    const Map b = Map::from_unsorted(pb);
+    const Map copy_a = a;
+    const Map copy_b = b;
+    const Map out = Map::merged(a, b);
+    ASSERT_EQ(a, copy_a) << "trial " << trial;
+    ASSERT_EQ(b, copy_b) << "trial " << trial;
+
+    std::map<std::uint64_t, std::uint64_t> fold;
+    for (const auto& [id, v] : pa) fold[id.value()] += v;
+    for (const auto& [id, v] : pb) fold[id.value()] += v;
+    ASSERT_EQ(out.size(), fold.size()) << "trial " << trial;
+    auto it = fold.begin();
+    for (const auto& [id, v] : out) {
+      ASSERT_EQ(id.value(), it->first) << "trial " << trial;
+      ASSERT_EQ(v, it->second) << "trial " << trial;
+      ++it;
+    }
+    Map via_add = a;
+    via_add.merge_add(b);
+    ASSERT_EQ(out, via_add) << "trial " << trial;
+  }
+}
+
 }  // namespace
 }  // namespace nf
