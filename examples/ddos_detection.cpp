@@ -4,12 +4,10 @@
 // receives moderate traffic through MANY routers — invisible locally,
 // dominant globally. netFilter finds every destination whose global flow
 // volume crosses the threshold, exactly: no false accusations (the paper's
-// argument for exactness in attack detection, §II). For contrast, the same
-// detection with an approximate Misra-Gries aggregation reports false
-// positives.
+// argument for exactness in attack detection, §II).
+#include <algorithm>
 #include <iostream>
 
-#include "core/misra_gries.h"
 #include "core/netfilter.h"
 #include "net/topology.h"
 #include "workload/scenarios.h"
@@ -78,18 +76,6 @@ int main() {
             << (victims_found ? "yes" : "NO")
             << "; exact (no false accusations): " << (exact ? "yes" : "NO")
             << "\n";
-
-  // The approximate alternative at the same budget accuses innocents.
-  const core::ApproxCollector approx(config.wire, /*epsilon=*/0.003);
-  const auto oracle = workload.frequent_items(threshold);
-  const auto approx_result = approx.run(workload, hierarchy, overlay, meter,
-                                        threshold, &oracle);
-  std::cout << "\napproximate (Misra-Gries, eps=0.003, "
-            << approx_result.stats.cost_per_peer << " bytes/peer): "
-            << approx_result.stats.num_reported << " alerts, "
-            << approx_result.stats.false_positives
-            << " false accusations, max volume error "
-            << approx_result.stats.max_value_error << " KB\n";
 
   return (victims_found && exact) ? 0 : 1;
 }

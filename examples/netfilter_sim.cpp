@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "agg/root_selection.h"
-#include "core/misra_gries.h"
 #include "core/naive.h"
 #include "core/netfilter.h"
 #include "core/topk.h"
@@ -45,7 +44,6 @@ struct Options {
   bool tune = false;
   std::string algo = "netfilter";
   double participation = 1.0;
-  double epsilon = 0.005;
   std::string wire = "flat";
   std::uint32_t topk = 0;  // 0 = threshold query (default)
   std::uint64_t seed = 42;
@@ -63,10 +61,9 @@ struct Options {
       "query:      --theta=T (threshold ratio, default 0.01)\n"
       "topology:   --topology=tree|er|ws|ba --fanout=B --degree=D\n"
       "            --root=random|stable|center (hierarchy root policy)\n"
-      "algorithm:  --algo=netfilter|naive|approx|all\n"
+      "algorithm:  --algo=netfilter|naive|all\n"
       "            --g=G --f=F | --tune (pick G, F by in-network sampling)\n"
       "            --participation=P (stable-peer fraction forming the tree)\n"
-      "            --epsilon=E (approx)\n"
       "accounting: --wire=flat|varint (paper byte model vs real encoding)\n"
       "top-k:      --topk=K (k most frequent items instead of a threshold)\n";
   std::exit(code);
@@ -96,7 +93,6 @@ Options parse(int argc, char** argv) {
       else if (key == "--tune") opt.tune = true;
       else if (key == "--algo") opt.algo = val;
       else if (key == "--participation") opt.participation = std::stod(val);
-      else if (key == "--epsilon") opt.epsilon = std::stod(val);
       else if (key == "--wire") opt.wire = val;
       else if (key == "--topk") opt.topk = static_cast<std::uint32_t>(std::stoul(val));
       else if (key == "--seed") opt.seed = std::stoull(val);
@@ -110,6 +106,14 @@ Options parse(int argc, char** argv) {
       std::cerr << "bad value for " << key << ": '" << val << "'\n";
       usage(2);
     }
+  }
+  if (opt.algo != "netfilter" && opt.algo != "naive" && opt.algo != "all") {
+    std::cerr << "unknown --algo: " << opt.algo << "\n";
+    usage(2);
+  }
+  if (opt.wire != "flat" && opt.wire != "varint") {
+    std::cerr << "unknown --wire: " << opt.wire << "\n";
+    usage(2);
   }
   return opt;
 }
@@ -250,10 +254,8 @@ int main(int argc, char** argv) {
   }
 
   const bool all = opt.algo == "all";
-  bool ran = false;
 
   if (all || opt.algo == "netfilter") {
-    ran = true;
     core::NetFilterConfig cfg;
     cfg.num_groups = g;
     cfg.num_filters = f;
@@ -271,7 +273,6 @@ int main(int argc, char** argv) {
   }
 
   if (all || opt.algo == "naive") {
-    ran = true;
     const auto res = core::NaiveCollector{WireSizes{}}.run(
         workload, hierarchy, overlay, meter, threshold);
     std::cout << "naive: " << res.frequent.size() << " items, "
@@ -279,21 +280,5 @@ int main(int argc, char** argv) {
               << (res.frequent == oracle ? "yes" : "NO") << "\n";
   }
 
-  if (all || opt.algo == "approx") {
-    ran = true;
-    const core::ApproxCollector approx(WireSizes{}, opt.epsilon);
-    const auto res = approx.run(workload, hierarchy, overlay, meter,
-                                threshold, &oracle);
-    std::cout << "approx Misra-Gries (eps=" << opt.epsilon << "): "
-              << res.reported.size() << " items, "
-              << res.stats.cost_per_peer << " bytes/peer, fp="
-              << res.stats.false_positives << " fn="
-              << res.stats.false_negatives << "\n";
-  }
-
-  if (!ran) {
-    std::cerr << "unknown --algo: " << opt.algo << "\n";
-    usage(2);
-  }
   return 0;
 }

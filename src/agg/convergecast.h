@@ -12,14 +12,14 @@
 //   merge(T&, T&&)           combine a child's aggregate into the parent's
 //   wire_bytes(const T&)     modelled serialized size of one message
 //
-// Used by the naive collector (core/naive.cpp), whose aggregate borrows
-// or owns an item map, and with a Misra–Gries summary for the approximate
-// baseline. netFilter's own phases use the flat counterparts
-// (agg/flat_phases.h). This is the last typed hierarchy phase: the naive
-// collector measured 3.0–3.1× slower on FlatPairsConvergecastPhase, even
-// with pairs merged straight from the wire (perfbench naive_collect
-// query_ms_p50 181–183 vs 58–60 ms; ROADMAP item 1), so the typed path
-// stays.
+// Its one user in the library is the naive collector (core/naive.cpp),
+// whose aggregate borrows or owns an item map; tests and
+// bench/ablation_latency instantiate it too. netFilter's own phases use the
+// flat counterparts (agg/flat_phases.h). This is the last typed hierarchy
+// phase: the naive collector measured 3.0–3.1× slower on
+// FlatPairsConvergecastPhase, even with pairs merged straight from the wire
+// (perfbench naive_collect query_ms_p50 181–183 vs 58–60 ms; ROADMAP
+// item 1), so the typed path stays.
 //
 // ConvergecastPhase is a session-runtime component (net/session.h): it
 // initializes a peer when its phase opens there — so a convergecast can

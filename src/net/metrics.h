@@ -26,7 +26,7 @@ enum class TrafficCategory : std::uint8_t {
   kSampling = 5,       ///< parameter-estimation sampling traffic
   kControl = 6,        ///< heartbeats, hierarchy formation/repair
   kHostReport = 7,     ///< non-participating peers reporting local sets
-  kApprox = 8,         ///< approximate-baseline sketch traffic
+  kApprox = 8,         ///< approximate baseline (no sender; stable report key)
 };
 inline constexpr std::size_t kNumTrafficCategories = 9;
 

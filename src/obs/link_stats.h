@@ -58,12 +58,13 @@ namespace nf::obs {
   return static_cast<std::uint32_t>(key & 0xFFFFFFFFull);
 }
 
-/// Bounded weighted heavy-hitter summary over u64 link keys — the
-/// Misra-Gries construction of src/core/misra_gries.h re-instantiated for
-/// the telemetry hot path: open-addressed preallocated storage (no
-/// allocation per add), a global offset in place of decrement-all (one
-/// subtraction instead of an O(k) sweep), and lazy reclamation of entries
-/// whose estimate has decayed to zero.
+/// Bounded weighted heavy-hitter summary over u64 link keys: the weighted
+/// Misra-Gries summary (Misra & Gries 1982), mergeable in the sense of
+/// Agarwal et al. ("Mergeable summaries", PODS 2012), built for the
+/// telemetry hot path: open-addressed preallocated storage (no allocation
+/// per add), a global offset in place of decrement-all (one subtraction
+/// instead of an O(k) sweep), and lazy reclamation of entries whose
+/// estimate has decayed to zero.
 ///
 /// Guarantees (for total added weight V, capacity k):
 ///   estimate(x) <= true_weight(x) <= estimate(x) + error_bound()
